@@ -1,10 +1,10 @@
 """Benchmark: the fast placement-search engine vs the seed paths.
 
-Times canonical enumeration, the cached exhaustive engine, batch
-scoring, the vectorized branch-and-bound search, and incremental
-annealing against the preserved seed implementations — asserting
-bit-identical results (same winners, same floats to 1e-12, same
-candidate counts) alongside the speedups.
+Times canonical enumeration, the cached exhaustive engine, cached
+scoring of a whole candidate list, the vectorized branch-and-bound
+search, and incremental annealing against the preserved seed
+implementations — asserting bit-identical results (same winners, same
+floats to 1e-12, same candidate counts) alongside the speedups.
 ``scripts/bench_search.py`` records the same comparison to
 ``BENCH_search.json`` with hard regression floors.
 """
@@ -13,8 +13,9 @@ import time
 
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
-from repro.search import find_best_placement, score_placements_batch
+from repro.search import find_best_placement
 from repro.search.cache import StageCache
 from repro.search.reference import enumerate_placements_reference
 
@@ -84,10 +85,12 @@ def test_bench_batch_scoring(benchmark):
 
     spec = _spec()
     placements = list(enumerate_placements(spec, NUM_NODES, CORES))
-    cache = StageCache()
+    context = PlanningContext(cache=StageCache())
 
     scores = benchmark(
-        lambda: score_placements_batch(spec, placements, cache=cache)
+        lambda: [
+            score_placement(spec, p, context=context) for p in placements
+        ]
     )
 
     sample = scores[:: max(1, len(scores) // 16)]

@@ -28,6 +28,7 @@ from repro.runtime.placement import (
     spread_components,
 )
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.planner import ResourceConstrainedPlanner
 from repro.scheduler.robust import (
     robust_score_placement,
@@ -118,9 +119,9 @@ def main() -> None:
         weight=1.0,
     )
     ideal_plan = ResourceConstrainedPlanner().plan(spec, num_nodes=3)
-    robust_plan = ResourceConstrainedPlanner(robustness=term).plan(
-        spec, num_nodes=3
-    )
+    robust_plan = ResourceConstrainedPlanner(
+        context=PlanningContext(robustness=term)
+    ).plan(spec, num_nodes=3)
     print("\nplanner without robustness term:")
     print(
         f"  F={ideal_plan.score.objective:.5f}  "

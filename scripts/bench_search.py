@@ -61,6 +61,7 @@ from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
 from repro.scheduler.annealing import (  # noqa: E402
     SimulatedAnnealingPolicy,
 )
+from repro.scheduler.context import PlanningContext  # noqa: E402
 from repro.scheduler.objectives import score_placement  # noqa: E402
 from repro.search import find_best_placement  # noqa: E402
 from repro.search.canonical import (  # noqa: E402
@@ -190,7 +191,10 @@ def bench_exhaustive(num_nodes: int) -> tuple:
     stage_cache = StageCache()
     t0 = time.perf_counter()
     fast_best, fast_evaluated = find_best_placement(
-        spec, num_nodes, CORES_PER_NODE, cache=stage_cache
+        spec,
+        num_nodes,
+        CORES_PER_NODE,
+        context=PlanningContext(cache=stage_cache),
     )
     t_fast = time.perf_counter() - t0
 

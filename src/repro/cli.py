@@ -193,6 +193,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.runtime.spec import EnsembleSpec, default_member
+    from repro.scheduler.context import PlanningContext
     from repro.scheduler.planner import ResourceConstrainedPlanner
 
     spec = EnsembleSpec(
@@ -214,7 +215,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             model_builder=node_crash_builder(args.robust_rate),
             weight=args.robust_weight,
         )
-    planner = ResourceConstrainedPlanner(robustness=robustness)
+    planner = ResourceConstrainedPlanner(
+        context=PlanningContext(robustness=robustness)
+    )
     plan = planner.plan(spec, num_nodes=args.nodes)
     if args.json:
         import json

@@ -141,19 +141,6 @@ def run_configuration(
     )
 
 
-def _trial_worker(payload: tuple) -> ExecutionResult:
-    """Pool worker: run one seeded trial of a configuration."""
-    config, n_steps, seed, timing_noise, cluster, dtl = payload
-    return run_configuration(
-        config,
-        n_steps=n_steps,
-        seed=seed,
-        timing_noise=timing_noise,
-        cluster=cluster,
-        dtl=dtl,
-    )
-
-
 def run_configuration_trials(
     config: Configuration,
     trials: int = DEFAULT_TRIALS,
@@ -162,25 +149,14 @@ def run_configuration_trials(
     timing_noise: float = DEFAULT_NOISE,
     cluster: Optional[Cluster] = None,
     dtl: Optional[DataTransportLayer] = None,
-    parallel: bool = False,
 ) -> List[ExecutionResult]:
     """Run one configuration over independent trials (distinct seeds).
 
-    With ``parallel=True`` the trials run across a multiprocessing
-    pool. Every trial's seed is fixed by its index (``base_seed + t``)
-    and trials share no state, so the result list is identical to the
-    serial one, in the same order; when the pool is unavailable
-    (single-core host, sandboxed semaphores, unpicklable inputs) the
-    serial path runs instead.
+    Every trial's seed is fixed by its index (``base_seed + t``) and
+    trials share no state.
     """
     require_positive_int("trials", trials)
     require_non_negative("timing_noise", timing_noise)
-    if parallel and trials >= 2:
-        results = _try_parallel_trials(
-            config, trials, n_steps, base_seed, timing_noise, cluster, dtl
-        )
-        if results is not None:
-            return results
     return [
         run_configuration(
             config,
@@ -192,34 +168,6 @@ def run_configuration_trials(
         )
         for t in range(trials)
     ]
-
-
-def _try_parallel_trials(
-    config: Configuration,
-    trials: int,
-    n_steps: int,
-    base_seed: int,
-    timing_noise: float,
-    cluster: Optional[Cluster],
-    dtl: Optional[DataTransportLayer],
-) -> Optional[List[ExecutionResult]]:
-    """Trials across a pool, or None if parallelism is unavailable."""
-    try:
-        import multiprocessing
-
-        processes = multiprocessing.cpu_count()
-        if processes < 2:
-            return None
-        payloads = [
-            (config, n_steps, base_seed + t, timing_noise, cluster, dtl)
-            for t in range(trials)
-        ]
-        with multiprocessing.Pool(
-            processes=min(processes, trials)
-        ) as pool:
-            return pool.map(_trial_worker, payloads)
-    except Exception:
-        return None
 
 
 def trial_mean(values: Sequence[float]) -> float:

@@ -17,10 +17,7 @@ shortlist afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.search.cache import StageCache
+from typing import Dict, Optional, Tuple
 
 from repro.core.indicators import (
     FINAL_STAGE_ORDER,
@@ -28,13 +25,10 @@ from repro.core.indicators import (
     MemberMeasurement,
     apply_stages,
 )
-from repro.scheduler.context import PlanningContext, _coerce_context
+from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
 from repro.core.insitu import member_makespan
 from repro.core.objective import objective_function
 from repro.core.stages import MemberStages
-from repro.dtl.base import DataTransportLayer
-from repro.faults.analytic import RobustnessTerm
-from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement
@@ -113,21 +107,15 @@ class PlacementScore:
 def score_placement(
     spec: EnsembleSpec,
     placement: EnsemblePlacement,
-    cluster: Optional[Cluster] = None,
-    dtl: Optional[DataTransportLayer] = None,
-    robustness: Optional[RobustnessTerm] = None,
+    *,
     stages: Optional[Dict[str, MemberStages]] = None,
-    cache: Optional["StageCache"] = None,
     context: Optional[PlanningContext] = None,
 ) -> PlacementScore:
     """Score one placement via the analytic predictor.
 
-    The scoring context can be passed either through the legacy
-    ``cluster``/``dtl``/``robustness``/``cache`` keywords or bundled
-    in a single :class:`~repro.scheduler.context.PlanningContext` as
-    ``context=`` — the two spellings are float-identical (asserted by
-    the differential oracle's exact ``context`` tier). Mixing both
-    warns ``DeprecationWarning`` and lets the legacy values win.
+    ``context`` (a :class:`~repro.scheduler.context.PlanningContext`)
+    carries the platform, staging tier, robustness term and stage
+    cache; omitted, the Cori-like defaults apply.
 
     With a ``robustness`` term the score additionally carries
     ``robust_penalty = weight * (E[inflation] - 1)`` from the analytic
@@ -138,26 +126,18 @@ def score_placement(
     .predict_member_stages` result for this exact (spec, placement,
     cluster, dtl) can pass it as ``stages`` to skip re-predicting.
 
-    A :class:`~repro.search.cache.StageCache` passed as ``cache``
-    memoizes stage prediction and indicator terms across calls —
-    members whose local co-location pattern repeats between candidates
-    are never re-predicted. The cached path produces bit-identical
-    scores; a cache whose platform context does not match
-    ``(cluster, dtl)`` is ignored.
+    A :class:`~repro.search.cache.StageCache` in the context memoizes
+    stage prediction and indicator terms across calls — members whose
+    local co-location pattern repeats between candidates are never
+    re-predicted. The cached path produces bit-identical scores; a
+    cache whose platform context does not match ``(cluster, dtl)`` is
+    ignored.
     """
-    if context is not None:
-        merged = _coerce_context(
-            context,
-            "score_placement",
-            cluster=cluster,
-            dtl=dtl,
-            robustness=robustness,
-            cache=cache,
-        )
-        cluster = merged.cluster
-        dtl = merged.dtl
-        robustness = merged.robustness
-        cache = merged.cache
+    context = context or DEFAULT_CONTEXT
+    cluster = context.cluster
+    dtl = context.dtl
+    robustness = context.robustness
+    cache = context.cache
     if cache is not None and stages is None and cache.matches(cluster, dtl):
         evaluation = cache.member_terms(spec, placement)
         penalty = 0.0

@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.configs.generator import enumerate_placements
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
 from repro.util.errors import PlacementError
 from repro.util.rng import RandomSource
@@ -84,9 +85,6 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
     cache:
         Optional :class:`~repro.search.cache.StageCache` shared across
         ``place`` calls (one is built per call when omitted).
-    parallel / processes:
-        Opt in to pool-based candidate scoring (serial fallback
-        applies; results are identical either way).
     vectorized:
         Opt in to the numpy batch kernel with branch-and-bound
         (:mod:`repro.search.vectorized`). Falls back to the scalar
@@ -100,14 +98,10 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
     def __init__(
         self,
         cache: Optional["StageCache"] = None,
-        parallel: bool = False,
-        processes: Optional[int] = None,
         vectorized: bool = False,
     ) -> None:
         self.evaluated = 0
         self.cache = cache
-        self.parallel = parallel
-        self.processes = processes
         self.vectorized = vectorized
 
     def place(
@@ -124,10 +118,9 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
             spec,
             num_nodes,
             cores_per_node,
-            cache=self.cache,
-            parallel=self.parallel,
-            processes=self.processes,
-            vectorized=self.vectorized,
+            context=PlanningContext(
+                cache=self.cache, vectorized=self.vectorized
+            ),
         )
         return best.placement
 

@@ -46,7 +46,7 @@ from repro.runtime.analytic import predict_member_stages
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import PlanningContext, _coerce_context
+from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
 from repro.scheduler.objectives import FINAL_STAGE_ORDER, score_placement
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_replica_seed
@@ -285,7 +285,10 @@ def surrogate_score_placement(
             spec, placement, cluster=cluster, dtl=dtl
         )
     ideal = score_placement(
-        spec, placement, cluster=cluster, dtl=dtl, stages=stages
+        spec,
+        placement,
+        stages=stages,
+        context=PlanningContext(cluster=cluster, dtl=dtl),
     )
     report = surrogate_resilience(
         spec, placement, model, policy, cluster=cluster, dtl=dtl,
@@ -304,91 +307,6 @@ def surrogate_score_placement(
     )
 
 
-def _surrogate_rank_worker(payload: Tuple) -> RobustScore:
-    """Pool worker: surrogate-score one named candidate."""
-    spec, name, placement, model, policy, cluster, dtl = payload
-    return surrogate_score_placement(
-        spec, placement, model, policy, cluster=cluster, dtl=dtl, name=name
-    )
-
-
-def _des_rank_worker(payload: Tuple) -> RobustScore:
-    """Pool worker: DES-score one named candidate."""
-    (
-        spec, name, placement, model_factory, policy, trials, base_seed,
-        timing_noise, seed_label, cluster, dtl,
-    ) = payload
-    return robust_score_placement(
-        spec,
-        placement,
-        model_factory,
-        policy,
-        trials=trials,
-        base_seed=base_seed,
-        timing_noise=timing_noise,
-        cluster=cluster,
-        dtl=dtl,
-        name=name,
-        seed_label=seed_label,
-    )
-
-
-@dataclass(frozen=True)
-class ParallelMapOutcome:
-    """What :func:`_parallel_map` produced — or why it could not.
-
-    ``results`` is None exactly when the pool was unusable, in which
-    case ``fallback_reason`` says why (surfaced through the batched
-    engine's counters and the service's ``/stats``).
-    """
-
-    results: Optional[List]
-    fallback_reason: Optional[str] = None
-
-
-def _parallel_map(worker, payloads: List[Tuple]) -> ParallelMapOutcome:
-    """Order-preserving pool map with an explicit fallback reason.
-
-    Both scoring paths are pure functions of their payloads, so pool
-    results are identical to serial ones. Only *environmental*
-    failures fall back to serial — pool setup errors (single core,
-    sandboxed semaphores) and unpicklable payloads (lambda model
-    factories). Exceptions raised by the worker itself propagate: a
-    bug in a scoring path must not masquerade as "parallelism
-    unavailable".
-    """
-    import multiprocessing
-    import pickle
-
-    if len(payloads) < 2:
-        return ParallelMapOutcome(None, "fewer than 2 payloads")
-    try:
-        cpus = multiprocessing.cpu_count()
-    except NotImplementedError:  # pragma: no cover - exotic platforms
-        return ParallelMapOutcome(None, "cpu count unavailable")
-    if cpus < 2:
-        return ParallelMapOutcome(None, "single-core host")
-    try:
-        pool = multiprocessing.Pool(
-            processes=min(cpus, len(payloads))
-        )
-    except (OSError, PermissionError, ValueError) as exc:
-        return ParallelMapOutcome(None, f"pool setup failed: {exc}")
-    try:
-        with pool:
-            return ParallelMapOutcome(pool.map(worker, payloads))
-    except (pickle.PicklingError, AttributeError) as exc:
-        return ParallelMapOutcome(None, f"payload does not pickle: {exc}")
-    except TypeError as exc:
-        # multiprocessing wraps some pickling failures in TypeError;
-        # anything else is a real worker bug and must surface.
-        if "pickle" in str(exc):
-            return ParallelMapOutcome(
-                None, f"payload does not pickle: {exc}"
-            )
-        raise
-
-
 def rank_placements_robust(
     spec: EnsembleSpec,
     candidates: Dict[str, EnsemblePlacement],
@@ -398,8 +316,7 @@ def rank_placements_robust(
     base_seed: int = 0,
     timing_noise: float = 0.0,
     method: str = "des",
-    cache: Optional["StageCache"] = None,
-    parallel: bool = False,
+    *,
     engine: str = "serial",
     crn: bool = True,
     context: Optional[PlanningContext] = None,
@@ -424,17 +341,6 @@ def rank_placements_robust(
         ``"des"`` executes injected trials per candidate;
         ``"surrogate"`` prices each candidate in closed form —
         same ranking on the paper's C1/C2 candidates, >= 10x faster.
-    cache:
-        Optional :class:`~repro.search.cache.StageCache` for the
-        surrogate method — stage predictions shared across candidates
-        with matching local patterns (a default-context cache is built
-        when omitted). Ignored by the DES method.
-    parallel:
-        Opt in to scoring candidates across a multiprocessing pool.
-        Results are identical to serial (every candidate's seeds are
-        fixed by its payload); falls back to serial when the pool is
-        unavailable or inputs do not pickle (e.g. lambda factories),
-        recording the reason on the batched engine's counters.
     engine:
         DES-method execution strategy. ``"serial"`` re-simulates every
         fault replica; ``"batched"`` delegates to
@@ -451,11 +357,12 @@ def rank_placements_robust(
         The default matches the historical serial behaviour exactly.
     context:
         Optional :class:`~repro.scheduler.context.PlanningContext`.
-        Its ``cache`` and ``parallel`` fields replace the legacy
-        keywords (mixing both warns ``DeprecationWarning``; legacy
-        wins), and its ``cluster``/``dtl`` — previously not reachable
-        from this entry point at all — are threaded into every
-        scoring call (DES, batched, and surrogate alike).
+        Its ``cluster``/``dtl`` are threaded into every scoring call
+        (DES, batched, and surrogate alike); its ``cache`` is the
+        :class:`~repro.search.cache.StageCache` the surrogate method
+        shares across candidates with matching local patterns (a
+        default-context cache is built when omitted; the DES method
+        ignores it).
 
     Returns
     -------
@@ -467,19 +374,9 @@ def rank_placements_robust(
     ValidationError
         On an unknown ``method`` or ``engine``.
     """
-    cluster: Optional[Cluster] = None
-    dtl: Optional[DataTransportLayer] = None
-    if context is not None:
-        merged = _coerce_context(
-            context,
-            "rank_placements_robust",
-            cache=cache,
-            parallel=parallel,
-        )
-        cache = merged.cache
-        parallel = merged.parallel
-        cluster = merged.cluster
-        dtl = merged.dtl
+    context = context or DEFAULT_CONTEXT
+    cluster = context.cluster
+    dtl = context.dtl
     if method not in RANK_METHODS:
         valid = ", ".join(repr(m) for m in RANK_METHODS)
         raise ValidationError(
@@ -492,19 +389,7 @@ def rank_placements_robust(
         )
     if method == "surrogate":
         model = model_factory(base_seed)
-        if parallel:
-            pooled = _parallel_map(
-                _surrogate_rank_worker,
-                [
-                    (spec, name, placement, model, policy, cluster, dtl)
-                    for name, placement in candidates.items()
-                ],
-            )
-            if pooled.results is not None:
-                return sorted(pooled.results, reverse=True)
-            from repro.faults.batched import _note_fallback
-
-            _note_fallback(pooled.fallback_reason)
+        cache = context.cache
         if cache is None:
             from repro.search.cache import StageCache
 
@@ -529,27 +414,9 @@ def rank_placements_robust(
             base_seed=base_seed,
             timing_noise=timing_noise,
             crn=crn,
-            parallel=parallel,
             cluster=cluster,
             dtl=dtl,
         )
-    if parallel:
-        pooled = _parallel_map(
-            _des_rank_worker,
-            [
-                (
-                    spec, name, placement, model_factory, policy, trials,
-                    base_seed, timing_noise, "" if crn else name,
-                    cluster, dtl,
-                )
-                for name, placement in candidates.items()
-            ],
-        )
-        if pooled.results is not None:
-            return sorted(pooled.results, reverse=True)
-        from repro.faults.batched import _note_fallback
-
-        _note_fallback(pooled.fallback_reason)
     scores = [
         robust_score_placement(
             spec,

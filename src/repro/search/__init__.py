@@ -1,4 +1,4 @@
-"""Fast placement-search engine (canonical + memoized + parallel).
+"""Fast placement-search engine (canonical + memoized + vectorized).
 
 The seed search stack is the naive reference: enumerate
 ``nodes^components`` raw assignments, dedup after the fact, re-run the
@@ -14,9 +14,6 @@ it supersedes (same placements, same score floats):
 - :mod:`~repro.search.cache` — :class:`StageCache`, memoized stage
   prediction keyed by each member's local co-location signature, with
   delta (changed-nodes-only) re-evaluation for move-based search;
-- :mod:`~repro.search.batch` — :func:`score_placements_batch`,
-  order-preserving chunked scoring with an optional multiprocessing
-  pool and an unconditional serial fallback;
 - :mod:`~repro.search.engine` — :func:`find_best_placement`, the fused
   streaming search used by the exhaustive policy;
 - :mod:`~repro.search.vectorized` — :class:`VectorizedScorer`, numpy
@@ -49,25 +46,22 @@ from repro.search.reference import (
     enumerate_placements_reference,
 )
 
-# batch and engine score through repro.scheduler.objectives, which
+# engine and vectorized score through repro.scheduler.objectives, which
 # (via repro.scheduler.policies) enumerates through
 # repro.configs.generator, which uses repro.search.canonical — loading
 # them eagerly here would close that cycle. PEP 562 lazy loading keeps
 # the public surface flat while the canonical/cache layers stay
 # importable from anywhere in the scheduler stack.
 _LAZY_EXPORTS = {
-    "MIN_PARALLEL_BATCH": "repro.search.batch",
     "MIN_VECTORIZED_CANDIDATES": "repro.search.vectorized",
     "VectorizedScorer": "repro.search.vectorized",
     "VectorizedSearchResult": "repro.search.vectorized",
     "VectorizedUnsupported": "repro.search.vectorized",
     "argmax_batch": "repro.search.vectorized",
-    "best_score_index": "repro.search.vectorized",
     "find_best_placement": "repro.search.engine",
     "find_best_placement_vectorized": "repro.search.vectorized",
     "last_search_routing": "repro.search.engine",
     "reset_search_counters": "repro.search.engine",
-    "score_placements_batch": "repro.search.batch",
     "search_counters": "repro.search.engine",
 }
 
@@ -87,7 +81,6 @@ def __getattr__(name: str):
 __all__ = [
     "CompletionCounter",
     "FlatEvaluation",
-    "MIN_PARALLEL_BATCH",
     "MIN_VECTORIZED_CANDIDATES",
     "StageCache",
     "VectorizedScorer",
@@ -95,7 +88,6 @@ __all__ = [
     "VectorizedUnsupported",
     "argmax_batch",
     "assignment_to_placement",
-    "best_score_index",
     "canonical_signature",
     "component_core_demands",
     "count_canonical_assignments",
@@ -110,6 +102,5 @@ __all__ = [
     "last_search_routing",
     "member_shapes",
     "reset_search_counters",
-    "score_placements_batch",
     "search_counters",
 ]

@@ -18,8 +18,9 @@ matching the repo's zero-new-dependency rule. Routes:
 Request/response bodies use :mod:`repro.service.schemas` exclusively,
 so the HTTP path serves the same floats the library computes — the
 verify subsystem's service tier holds this to tolerance 0.0. Errors
-are JSON too: 400 for malformed payloads, 404 for unknown ids/routes,
-405 for unsupported methods.
+are JSON too: 400 for malformed payloads (including a non-integer or
+negative ``Content-Length``), 404 for unknown ids/routes, 405 for
+unsupported methods, 413 for a body above :data:`MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from typing import Optional, Tuple
 from repro.service.schemas import request_from_dict
 from repro.service.workers import PlacementService
 from repro.util.errors import ReproError
+
+#: Largest ``POST`` body the service reads. A request announcing more
+#: is answered 413 before any of its body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class PlacementServer:
@@ -131,16 +136,23 @@ def _make_handler(server: PlacementServer):
             pass
 
         # -- plumbing -------------------------------------------------------
-        def _send(self, status: int, payload: dict) -> None:
+        def _send(
+            self, status: int, payload: dict, close: bool = False
+        ) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                # also sets close_connection: nothing more is read
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
-        def _error(self, status: int, message: str) -> None:
-            self._send(status, {"error": message})
+        def _error(
+            self, status: int, message: str, close: bool = False
+        ) -> None:
+            self._send(status, {"error": message}, close)
 
         def _route(self) -> Tuple[str, Optional[str]]:
             parts = [p for p in self.path.split("?")[0].split("/") if p]
@@ -188,7 +200,29 @@ def _make_handler(server: PlacementServer):
             if head != "jobs" or rest is not None:
                 self._error(404, f"no route POST {self.path}")
                 return
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            # an unread body must not be parsed as the next request, so
+            # a refused body also closes the connection
+            if length < 0:
+                self._error(
+                    400,
+                    f"bad request: Content-Length {declared!r} is not "
+                    f"a non-negative integer",
+                    close=True,
+                )
+                return
+            if length > MAX_BODY_BYTES:
+                self._error(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    close=True,
+                )
+                return
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8") or "{}")

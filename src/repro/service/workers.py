@@ -192,8 +192,7 @@ def execute_request(
 
     A shared ``stage_cache`` only memoizes — payloads are bit-identical
     with or without it. Scoring and search calls route through one
-    :class:`~repro.scheduler.context.PlanningContext` (float-identical
-    to the legacy keyword spelling by the oracle's exact context tier).
+    :class:`~repro.scheduler.context.PlanningContext`.
     """
     robustness = _robustness_term(request)
     context = PlanningContext(robustness=robustness, cache=stage_cache)

@@ -60,6 +60,7 @@ from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.runner import run_ensemble
 from repro.runtime.spec import EnsembleSpec
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.search.cache import StageCache
 from repro.util.errors import ValidationError
@@ -70,9 +71,6 @@ from repro.util.errors import ValidationError
 DEFAULT_TOLERANCES: Dict[str, float] = {
     # tier 0: memoized/cached paths vs their reference implementations
     "cache": 0.0,
-    # tier 0: the PlanningContext spelling vs the legacy keyword
-    # spelling of the same scoring call — pure plumbing, so exact
-    "context": 0.0,
     # tier 0.5: the numpy batch kernel vs the scalar scorer — a few
     # ulps of reassociation (n*overhead vs a repeated sum, segment
     # reductions), nowhere near the DES band
@@ -314,7 +312,6 @@ def run_differential_oracle(
     service_url: Optional[str] = None,
     fault_factory: Optional[Callable[[int], FailureModel]] = None,
     batched_score_fn: Optional[Callable] = None,
-    context_score_fn: Optional[Callable] = None,
     coschedule_fn: Optional[Callable] = None,
 ) -> DivergenceReport:
     """Run one scenario through every evaluation path; report agreement.
@@ -336,7 +333,9 @@ def run_differential_oracle(
         hook exists so tests can inject a mutated copy and prove the
         oracle catches it.
     score_fn:
-        Placement scorer compared against the reference scoring path;
+        Placement scorer compared against the reference scoring path,
+        called as ``score_fn(spec, placement, context=...)`` with the
+        scenario's :class:`~repro.scheduler.context.PlanningContext`;
         defaults to :func:`~repro.scheduler.objectives.score_placement`
         (uncached). Same mutation hook as ``predictor``.
     failure_model / recovery / fault_trials:
@@ -366,13 +365,6 @@ def run_differential_oracle(
         :func:`~repro.faults.batched.batched_score_placement`. Same
         mutation hook as ``predictor`` — the tests substitute a scorer
         replaying a perturbed timeline and the oracle must fail.
-    context_score_fn:
-        Scorer invoked with the ``context=``
-        (:class:`~repro.scheduler.context.PlanningContext`) spelling;
-        defaults to :func:`~repro.scheduler.objectives.score_placement`.
-        Compared *exactly* (tier 0) against the legacy-keyword call —
-        the two spellings are pure plumbing around the same floats.
-        Same mutation hook as ``predictor``.
     coschedule_fn:
         ``(spec, total_nodes, cores_per_node) -> PlacementScore``
         producing the winning score of a one-ensemble stream through
@@ -422,11 +414,12 @@ def run_differential_oracle(
             )
 
     # -- tier 0: cached vs uncached scoring, and the score_fn under test ---
-    reference_score = score_placement(spec, placement, cluster=cluster, dtl=dtl)
+    platform = PlanningContext(cluster=cluster, dtl=dtl)
+    reference_score = score_placement(spec, placement, context=platform)
     cached_score = score_placement(
-        spec, placement, cluster=cluster, dtl=dtl, cache=cache
+        spec, placement, context=platform.evolve(cache=cache)
     )
-    candidate_score = score(spec, placement, cluster=cluster, dtl=dtl)
+    candidate_score = score(spec, placement, context=platform)
     for label, cand in (
         ("score-vs-cache", cached_score),
         ("score-vs-candidate", candidate_score),
@@ -466,51 +459,6 @@ def run_differential_oracle(
                     tolerance=tol["cache"],
                 )
             )
-
-    # -- tier 0: the PlanningContext spelling vs the legacy keywords -------
-    from repro.scheduler.context import PlanningContext
-
-    context_score = context_score_fn or score_placement
-    context_scored = context_score(
-        spec,
-        placement,
-        context=PlanningContext(cluster=cluster, dtl=dtl, cache=cache),
-    )
-    checks.append(
-        MetricCheck(
-            scope="ensemble",
-            metric="objective",
-            paths="legacy-vs-context",
-            reference=reference_score.objective,
-            candidate=context_scored.objective,
-            tolerance=tol["context"],
-        )
-    )
-    checks.append(
-        MetricCheck(
-            scope="ensemble",
-            metric="makespan",
-            paths="legacy-vs-context",
-            reference=reference_score.ensemble_makespan,
-            candidate=context_scored.ensemble_makespan,
-            tolerance=tol["context"],
-        )
-    )
-    for member, ref_i, cand_i in zip(
-        spec.members,
-        reference_score.member_indicators,
-        context_scored.member_indicators,
-    ):
-        checks.append(
-            MetricCheck(
-                scope=member.name,
-                metric="indicator",
-                paths="legacy-vs-context",
-                reference=ref_i,
-                candidate=cand_i,
-                tolerance=tol["context"],
-            )
-        )
 
     # -- tier 0: the HTTP service path vs the direct scorer ----------------
     if service_url is not None and cluster is None and dtl is None:
@@ -646,7 +594,7 @@ def run_differential_oracle(
 
         cosched = coschedule_fn or _default_coschedule_score
         direct, _ = find_best_placement(
-            spec, placement.num_nodes, 32, cache=cache
+            spec, placement.num_nodes, 32, context=platform.evolve(cache=cache)
         )
         co_score = cosched(spec, placement.num_nodes, 32)
         checks.append(

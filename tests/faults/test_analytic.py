@@ -44,6 +44,7 @@ from repro.runtime.placement import (
     spread_components,
 )
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.context import PlanningContext
 from repro.util.errors import ValidationError
 from tests.tolerances import (
     MAKESPAN_REL,
@@ -498,9 +499,9 @@ class TestRobustnessTerm:
             model_builder=node_crash_builder(0.05),
         )
         ideal = ResourceConstrainedPlanner().plan(spec, num_nodes=3)
-        robust = ResourceConstrainedPlanner(robustness=term).plan(
-            spec, num_nodes=3
-        )
+        robust = ResourceConstrainedPlanner(
+            context=PlanningContext(robustness=term)
+        ).plan(spec, num_nodes=3)
         assert ideal.score.robust_penalty == 0.0
         assert robust.score.robust_penalty > 0.0
         assert robust.score.utility == pytest.approx(
@@ -521,7 +522,9 @@ class TestRobustnessTerm:
             min_temperature_ratio=1e-2, robustness=term,
         )
         placement = annealer.place(spec, 3, 32)
-        score = score_placement(spec, placement, robustness=term)
+        score = score_placement(
+            spec, placement, context=PlanningContext(robustness=term)
+        )
         assert score.robust_penalty > 0.0
         assert score.utility == pytest.approx(
             score.objective - score.robust_penalty

@@ -246,29 +246,6 @@ class TestRankEngineParity:
         for s, b in zip(serial, batched):
             _assert_scores_equal(s, b)
 
-    def test_parallel_chunking_matches_inline(self, spec, candidates):
-        """Chunk-sharded pool ranking flattens to the inline order."""
-        common = dict(trials=2, base_seed=5)
-        inline = rank_placements_batched(
-            spec,
-            candidates,
-            crash_straggler_factory(0.2),
-            RetryBackoffPolicy(),
-            parallel=False,
-            **common,
-        )
-        pooled = rank_placements_batched(
-            spec,
-            candidates,
-            crash_straggler_factory(0.2),
-            RetryBackoffPolicy(),
-            parallel=True,
-            **common,
-        )
-        assert [i.name for i in inline] == [p.name for p in pooled]
-        for i, p in zip(inline, pooled):
-            _assert_scores_equal(i, p)
-
     def test_unknown_engine_rejected(self, spec, candidates):
         with pytest.raises(ValidationError, match="engine"):
             rank_placements_robust(
@@ -360,7 +337,6 @@ class TestEngineCounters:
         counters = engine_counters()
         assert counters["baseline_sims"] == 1
         assert counters["replicas_replayed"] == 5
-        assert counters["fallback_reason"] is None
 
     def test_ranking_tallies_per_candidate(self, spec, candidates):
         reset_engine_counters()
@@ -375,32 +351,11 @@ class TestEngineCounters:
         assert counters["baseline_sims"] == len(candidates)
         assert counters["replicas_replayed"] == len(candidates) * 2
 
-    def test_unpicklable_factory_falls_back_with_reason(
-        self, spec, candidates
-    ):
-        """A lambda factory cannot cross the pool boundary; the rank
-        must still complete serially and record why."""
-        reset_engine_counters()
-        factory = lambda seed: RandomFailureModel(  # noqa: E731
-            rate=0.2, seed=seed
-        )
-        ranked = rank_placements_batched(
-            spec,
-            candidates,
-            factory,
-            RetryBackoffPolicy(),
-            trials=2,
-            parallel=True,
-        )
-        assert len(ranked) == len(candidates)
-        assert engine_counters()["fallback_reason"] is not None
-
     def test_reset_clears_all_counters(self):
         reset_engine_counters()
         counters = engine_counters()
         assert counters["baseline_sims"] == 0
         assert counters["replicas_replayed"] == 0
-        assert counters["fallback_reason"] is None
 
 
 class TestMutantOracle:

@@ -1,24 +1,26 @@
-"""The unified :class:`PlanningContext` is float-exact vs legacy kwargs.
+"""The unified :class:`PlanningContext` is the one planning spelling.
 
-The API redesign's contract: every planning entry point accepts one
-immutable context object, produces *bit-identical* floats to the
-legacy keyword spelling, and mixing the two warns ``DeprecationWarning``
-with the explicit keywords winning. The differential oracle grew a
-dedicated ``legacy-vs-context`` tier at tolerance 0.0; the mutant test
-here proves that tier has teeth.
+Every planning entry point takes its scoring context through one
+immutable ``context=`` object. The entry points have no keyword
+duplicates of the context's fields, so a removed keyword fails loudly
+with ``TypeError`` instead of being merged or ignored, and an explicit
+context carrying the defaults yields bit-identical floats to omitting
+it.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
+from repro.configs.table2 import get_config
+from repro.experiments.base import run_configuration_trials
+from repro.faults.batched import rank_placements_batched
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.platform.specs import make_cori_like_cluster
 from repro.scheduler import PlanningContext
-from repro.scheduler.context import _coerce_context
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.planner import ResourceConstrainedPlanner
+from repro.scheduler.policies import ExhaustiveSearchPolicy
 from repro.scheduler.robust import (
     crash_straggler_factory,
     rank_placements_robust,
@@ -46,152 +48,168 @@ def _placement(n_members: int = 2) -> EnsemblePlacement:
     )
 
 
+def _candidates():
+    return {
+        "packed": _placement(),
+        "spread": EnsemblePlacement(
+            2,
+            (MemberPlacement(0, (1,)), MemberPlacement(1, (0,))),
+        ),
+    }
+
+
 class TestContextObject:
     def test_defaults(self):
         ctx = PlanningContext()
         assert ctx.cluster is None and ctx.dtl is None
         assert ctx.robustness is None and ctx.cache is None
-        assert not ctx.parallel and not ctx.vectorized
-        assert ctx.processes is None and ctx.chunk_size == 8192
+        assert not ctx.vectorized
+
+    def test_fields_are_exactly_the_five(self):
+        assert [f.name for f in dataclasses.fields(PlanningContext)] == [
+            "cluster", "dtl", "robustness", "cache", "vectorized",
+        ]
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            PlanningContext().parallel = True
+            PlanningContext().vectorized = True
 
     def test_evolve_returns_modified_copy(self):
         base = PlanningContext()
-        derived = base.evolve(vectorized=True, chunk_size=1024)
-        assert derived.vectorized and derived.chunk_size == 1024
-        assert not base.vectorized and base.chunk_size == 8192
-
-
-class TestCoercion:
-    def test_legacy_only_packs_fields(self):
-        cluster = make_cori_like_cluster(2)
-        merged = _coerce_context(None, "test", cluster=cluster, parallel=True)
-        assert merged.cluster is cluster
-        assert merged.parallel
-
-    def test_context_only_passes_through(self):
-        ctx = PlanningContext(vectorized=True)
-        assert _coerce_context(ctx, "test") is ctx
-
-    def test_mixed_use_warns_and_legacy_wins(self):
-        ctx = PlanningContext(parallel=False, chunk_size=8192)
-        with pytest.warns(DeprecationWarning, match="test"):
-            merged = _coerce_context(ctx, "test", parallel=True)
-        assert merged.parallel
+        cache = StageCache()
+        derived = base.evolve(vectorized=True, cache=cache)
+        assert derived.vectorized and derived.cache is cache
+        assert not base.vectorized and base.cache is None
 
 
 class TestFloatExactEquivalence:
+    """An explicit default-valued context equals omitting ``context``."""
+
     def test_score_placement(self):
         spec, placement = _spec(), _placement()
         cluster = make_cori_like_cluster(2)
-        legacy = score_placement(spec, placement, cluster=cluster)
-        via_context = score_placement(
+        implicit = score_placement(spec, placement)
+        explicit = score_placement(
             spec, placement, context=PlanningContext(cluster=cluster)
         )
-        assert via_context.objective == legacy.objective
-        assert via_context.ensemble_makespan == legacy.ensemble_makespan
-        assert via_context.member_indicators == legacy.member_indicators
+        assert explicit.objective == implicit.objective
+        assert explicit.ensemble_makespan == implicit.ensemble_makespan
+        assert explicit.member_indicators == implicit.member_indicators
 
     def test_find_best_placement(self):
         spec = _spec()
-        legacy_best, legacy_n = find_best_placement(spec, 2, 32)
-        ctx_best, ctx_n = find_best_placement(
+        implicit_best, implicit_n = find_best_placement(spec, 2, 32)
+        explicit_best, explicit_n = find_best_placement(
             spec, 2, 32, context=PlanningContext()
         )
-        assert ctx_best == legacy_best
-        assert ctx_best.objective == legacy_best.objective
-        assert ctx_n == legacy_n
+        assert explicit_best == implicit_best
+        assert explicit_best.objective == implicit_best.objective
+        assert explicit_n == implicit_n
 
     def test_find_best_placement_with_shared_cache(self):
         spec = _spec()
-        cache = StageCache(None, None)
-        legacy_best, _ = find_best_placement(spec, 2, 32, cache=cache)
-        ctx_best, _ = find_best_placement(
-            spec, 2, 32, context=PlanningContext(cache=cache)
+        fresh, _ = find_best_placement(spec, 2, 32)
+        shared, _ = find_best_placement(
+            spec, 2, 32, context=PlanningContext(cache=StageCache(None, None))
         )
-        assert ctx_best.objective == legacy_best.objective
+        assert shared.objective == fresh.objective
 
     def test_planner(self):
         spec = _spec()
-        legacy = ResourceConstrainedPlanner().plan(spec, num_nodes=2)
-        via_context = ResourceConstrainedPlanner(
+        implicit = ResourceConstrainedPlanner().plan(spec, num_nodes=2)
+        explicit = ResourceConstrainedPlanner(
             context=PlanningContext()
         ).plan(spec, num_nodes=2)
-        assert via_context.placement == legacy.placement
-        assert (
-            via_context.score.objective == legacy.score.objective
-        )
+        assert explicit.placement == implicit.placement
+        assert explicit.score.objective == implicit.score.objective
 
     def test_rank_placements_robust_surrogate(self):
         spec = _spec()
-        candidates = {
-            "packed": _placement(),
-            "spread": EnsemblePlacement(
-                2,
-                (MemberPlacement(0, (1,)), MemberPlacement(1, (0,))),
-            ),
-        }
         kwargs = dict(
             model_factory=crash_straggler_factory(0.05),
             policy=RetryBackoffPolicy(),
             method="surrogate",
         )
-        legacy = rank_placements_robust(spec, candidates, **kwargs)
-        via_context = rank_placements_robust(
-            spec, candidates, context=PlanningContext(), **kwargs
+        implicit = rank_placements_robust(spec, _candidates(), **kwargs)
+        explicit = rank_placements_robust(
+            spec, _candidates(), context=PlanningContext(), **kwargs
         )
-        assert [s.name for s in via_context] == [s.name for s in legacy]
-        assert [s.objective for s in via_context] == [
-            s.objective for s in legacy
+        assert [s.name for s in explicit] == [s.name for s in implicit]
+        assert [s.objective for s in explicit] == [
+            s.objective for s in implicit
         ]
 
-    def test_mixed_use_warns_at_entry_points(self):
-        spec, placement = _spec(), _placement()
-        cluster = make_cori_like_cluster(2)
-        with pytest.warns(DeprecationWarning):
-            score_placement(
-                spec,
-                placement,
-                cluster=cluster,
-                context=PlanningContext(),
-            )
+
+def _call_score_placement(**kwargs):
+    return score_placement(_spec(), _placement(), **kwargs)
 
 
-class TestOracleContextTier:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_differential_oracle(
+def _call_find_best_placement(**kwargs):
+    return find_best_placement(_spec(), 2, 32, **kwargs)
+
+
+def _call_rank_placements_robust(**kwargs):
+    return rank_placements_robust(
+        _spec(), _candidates(), crash_straggler_factory(0.05),
+        RetryBackoffPolicy(), method="surrogate", **kwargs,
+    )
+
+
+def _call_rank_placements_batched(**kwargs):
+    return rank_placements_batched(
+        _spec(), _candidates(), crash_straggler_factory(0.05),
+        RetryBackoffPolicy(), **kwargs,
+    )
+
+
+def _call_run_configuration_trials(**kwargs):
+    return run_configuration_trials(get_config("Cc"), trials=1, **kwargs)
+
+
+REMOVED_KEYWORDS = [
+    (_call_score_placement, "cluster"),
+    (_call_score_placement, "dtl"),
+    (_call_score_placement, "robustness"),
+    (_call_score_placement, "cache"),
+    (_call_find_best_placement, "cluster"),
+    (_call_find_best_placement, "dtl"),
+    (_call_find_best_placement, "robustness"),
+    (_call_find_best_placement, "cache"),
+    (_call_find_best_placement, "vectorized"),
+    (_call_find_best_placement, "chunk_size"),
+    (_call_find_best_placement, "parallel"),
+    (_call_find_best_placement, "processes"),
+    (_call_rank_placements_robust, "cache"),
+    (_call_rank_placements_robust, "parallel"),
+    (ResourceConstrainedPlanner, "robustness"),
+    (ResourceConstrainedPlanner, "cache"),
+    (PlanningContext, "parallel"),
+    (PlanningContext, "processes"),
+    (PlanningContext, "chunk_size"),
+    (ExhaustiveSearchPolicy, "parallel"),
+    (ExhaustiveSearchPolicy, "processes"),
+    (_call_rank_placements_batched, "parallel"),
+    (_call_run_configuration_trials, "parallel"),
+]
+
+
+class TestRemovedKeywords:
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        REMOVED_KEYWORDS,
+        ids=[
+            f"{entry.__name__.removeprefix('_call_')}-{keyword}"
+            for entry, keyword in REMOVED_KEYWORDS
+        ],
+    )
+    def test_removed_keyword_raises_type_error(self, entry, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            entry(**{keyword: None})
+
+    def test_oracle_has_no_spelling_tier(self):
+        assert "context" not in DEFAULT_TOLERANCES
+        report = run_differential_oracle(
             _spec(n_members=1), _placement(n_members=1), scenario="ctx"
         )
-
-    def test_tier_present_and_exact(self, report):
-        assert DEFAULT_TOLERANCES["context"] == 0.0
-        checks = [c for c in report.checks if c.paths == "legacy-vs-context"]
-        assert checks  # objective + makespan + per-member indicators
-        assert all(c.tolerance == 0.0 for c in checks)
-        assert all(c.reference == c.candidate for c in checks)
         assert report.passed, report.to_text(verbose=True)
-
-    def test_mutant_context_scorer_is_caught(self):
-        """A context path that drifts by one ulp-scale factor must
-        fail the report — tolerance 0.0 admits only identity."""
-
-        def mutant(spec, placement, context=None):
-            score = score_placement(spec, placement, context=context)
-            return dataclasses.replace(
-                score, objective=score.objective * (1.0 + 1e-12)
-            )
-
-        report = run_differential_oracle(
-            _spec(n_members=1),
-            _placement(n_members=1),
-            scenario="ctx-mutant",
-            context_score_fn=mutant,
-        )
-        assert not report.passed
-        failed = [c for c in report.checks if not c.ok]
-        assert failed
-        assert all(c.paths == "legacy-vs-context" for c in failed)
+        assert not [c for c in report.checks if "context" in c.paths]

@@ -201,72 +201,6 @@ class TestSurrogateMethod:
         assert t_des / t_sur >= 10.0
 
 
-def _square_worker(payload):
-    return payload[0] ** 2
-
-
-def _boom_worker(payload):
-    raise RuntimeError("worker bug, not an environment problem")
-
-
-class TestParallelMap:
-    """The pool helper's contract: explicit reasons, loud worker bugs."""
-
-    def test_maps_in_payload_order(self):
-        from repro.scheduler.robust import _parallel_map
-
-        outcome = _parallel_map(_square_worker, [(i,) for i in range(5)])
-        if outcome.results is None:
-            # Environmental fallback (e.g. single-core CI host) is
-            # legal, but it must come with a reason.
-            assert outcome.fallback_reason
-        else:
-            assert outcome.results == [0, 1, 4, 9, 16]
-            assert outcome.fallback_reason is None
-
-    def test_single_payload_declines_with_reason(self):
-        from repro.scheduler.robust import _parallel_map
-
-        outcome = _parallel_map(_square_worker, [(1,)])
-        assert outcome.results is None
-        assert "fewer than 2" in outcome.fallback_reason
-
-    def test_single_core_host_declines_with_reason(self, monkeypatch):
-        import multiprocessing
-
-        from repro.scheduler.robust import _parallel_map
-
-        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 1)
-        outcome = _parallel_map(_square_worker, [(1,), (2,)])
-        assert outcome.results is None
-        assert outcome.fallback_reason == "single-core host"
-
-    def test_unpicklable_payload_reports_why(self, monkeypatch):
-        import multiprocessing
-
-        from repro.scheduler.robust import _parallel_map
-
-        # force past the core-count gate so the pickling path runs
-        # even on a single-core CI host
-        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 2)
-        outcome = _parallel_map(
-            _square_worker, [(1, lambda: None), (2, lambda: None)]
-        )
-        assert outcome.results is None
-        assert "pickle" in outcome.fallback_reason
-
-    def test_worker_exceptions_propagate(self, monkeypatch):
-        """A bug inside the scoring path must not masquerade as
-        "parallelism unavailable"."""
-        import multiprocessing
-
-        from repro.scheduler.robust import _parallel_map
-
-        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 2)
-        with pytest.raises(RuntimeError, match="worker bug"):
-            _parallel_map(_boom_worker, [(1,), (2,)])
-
-
 class TestRankEngines:
     def test_unknown_engine_rejected(self, spec):
         with pytest.raises(ValidationError, match="engine"):

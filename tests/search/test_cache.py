@@ -19,6 +19,7 @@ from repro.faults.recovery import RetryBackoffPolicy
 from repro.platform.specs import make_cori_like_cluster, small_test_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.search.cache import StageCache
 from repro.search.canonical import component_core_demands
@@ -73,13 +74,55 @@ class TestScorePlacementCachedPath:
         cache = StageCache()
         for placement in enumerate_placements(two_member_spec, 3, 32):
             cached = score_placement(
-                two_member_spec, placement, cache=cache
+                two_member_spec, placement,
+                context=PlanningContext(cache=cache),
             )
             plain = score_placement(two_member_spec, placement)
             assert cached.objective == plain.objective
             assert cached.ensemble_makespan == plain.ensemble_makespan
             assert cached.member_indicators == plain.member_indicators
             assert cached.robust_penalty == plain.robust_penalty
+
+    def test_shared_cache_reused_across_candidates(self, two_member_spec):
+        # a second pass over the same candidates through one shared
+        # cache predicts nothing new and returns the same floats
+        context = PlanningContext(cache=StageCache())
+        placements = list(enumerate_placements(two_member_spec, 3, 32))
+        first = [
+            score_placement(two_member_spec, p, context=context)
+            for p in placements
+        ]
+        misses = context.cache.stage_misses
+        second = [
+            score_placement(two_member_spec, p, context=context)
+            for p in placements
+        ]
+        assert context.cache.stage_misses == misses
+        for warm, cold in zip(second, first):
+            assert warm.placement == cold.placement
+            assert warm.objective == cold.objective
+            assert warm.ensemble_makespan == cold.ensemble_makespan
+            assert warm.member_indicators == cold.member_indicators
+
+    def test_robust_scores_with_shared_cache_equal_uncached(
+        self, two_member_spec
+    ):
+        term = RobustnessTerm(
+            policy=RetryBackoffPolicy(),
+            model=RandomFailureModel(rate=0.01, seed=0),
+        )
+        shared = PlanningContext(robustness=term, cache=StageCache())
+        plain = PlanningContext(robustness=term)
+        for placement in enumerate_placements(two_member_spec, 2, 32):
+            cached = score_placement(
+                two_member_spec, placement, context=shared
+            )
+            direct = score_placement(
+                two_member_spec, placement, context=plain
+            )
+            assert cached.objective == direct.objective
+            assert cached.member_indicators == direct.member_indicators
+            assert cached.robust_penalty == direct.robust_penalty
 
     def test_cached_score_with_robustness_is_exact(
         self, two_member_spec, colocated_placement
@@ -91,10 +134,11 @@ class TestScorePlacementCachedPath:
         cache = StageCache()
         cached = score_placement(
             two_member_spec, colocated_placement,
-            robustness=term, cache=cache,
+            context=PlanningContext(robustness=term, cache=cache),
         )
         plain = score_placement(
-            two_member_spec, colocated_placement, robustness=term
+            two_member_spec, colocated_placement,
+            context=PlanningContext(robustness=term),
         )
         assert cached.robust_penalty == plain.robust_penalty
         assert cached.utility == plain.utility
@@ -109,10 +153,11 @@ class TestScorePlacementCachedPath:
         assert not cache.matches(other, None)
         scored = score_placement(
             two_member_spec, colocated_placement,
-            cluster=other, cache=cache,
+            context=PlanningContext(cluster=other, cache=cache),
         )
         plain = score_placement(
-            two_member_spec, colocated_placement, cluster=other
+            two_member_spec, colocated_placement,
+            context=PlanningContext(cluster=other),
         )
         assert scored.objective == plain.objective
         assert scored.ensemble_makespan == plain.ensemble_makespan

@@ -15,6 +15,7 @@ from repro.faults.analytic import RobustnessTerm
 from repro.faults.models import RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.planner import ResourceConstrainedPlanner
 from repro.scheduler.policies import ExhaustiveSearchPolicy
@@ -35,7 +36,9 @@ def _seed_best(spec, num_nodes, cores_per_node, robustness=None):
     for placement in enumerate_placements_reference(
         spec, num_nodes, cores_per_node
     ):
-        score = score_placement(spec, placement, robustness=robustness)
+        score = score_placement(
+            spec, placement, context=PlanningContext(robustness=robustness)
+        )
         evaluated += 1
         if best is None or score > best:
             best = score
@@ -62,7 +65,7 @@ class TestFindBestPlacement:
     def test_matches_seed_loop_with_robustness(self, two_member_spec):
         term = _robustness_term()
         fast, fast_n = find_best_placement(
-            two_member_spec, 3, 32, robustness=term
+            two_member_spec, 3, 32, context=PlanningContext(robustness=term)
         )
         seed, seed_n = _seed_best(two_member_spec, 3, 32, robustness=term)
         assert fast_n == seed_n
@@ -70,23 +73,13 @@ class TestFindBestPlacement:
         assert fast.robust_penalty == seed.robust_penalty
         assert fast.utility == seed.utility
 
-    def test_parallel_mode_same_winner(self, two_member_spec):
-        serial, n_serial = find_best_placement(two_member_spec, 3, 32)
-        parallel, n_parallel = find_best_placement(
-            two_member_spec, 3, 32, parallel=True
-        )
-        assert n_parallel == n_serial
-        assert parallel.placement == serial.placement
-        assert parallel.objective == serial.objective
-
     def test_shared_cache_same_winner(self, two_member_spec):
         cache = StageCache()
-        first, _ = find_best_placement(
-            two_member_spec, 3, 32, cache=cache
-        )
+        context = PlanningContext(cache=cache)
+        first, _ = find_best_placement(two_member_spec, 3, 32, context=context)
         misses = cache.stage_misses
         second, _ = find_best_placement(
-            two_member_spec, 3, 32, cache=cache
+            two_member_spec, 3, 32, context=context
         )
         assert cache.stage_misses == misses  # warm re-search: all hits
         assert second.placement == first.placement
@@ -110,13 +103,6 @@ class TestExhaustivePolicy:
         seed, _ = _seed_best(two_member_spec, 3, 32)
         placement = ExhaustiveSearchPolicy().place(two_member_spec, 3, 32)
         assert placement == seed.placement
-
-    def test_parallel_policy_same_placement(self, two_member_spec):
-        serial = ExhaustiveSearchPolicy().place(two_member_spec, 3, 32)
-        parallel = ExhaustiveSearchPolicy(parallel=True).place(
-            two_member_spec, 3, 32
-        )
-        assert parallel == serial
 
 
 class TestIncrementalAnnealing:
@@ -191,7 +177,7 @@ class TestRobustRankingCache:
         )
         cached = rank_placements_robust(
             two_member_spec, candidates, factory, policy,
-            method="surrogate", cache=StageCache(),
+            method="surrogate", context=PlanningContext(cache=StageCache()),
         )
         assert [s.name for s in cached] == [s.name for s in plain]
         assert [s.objective for s in cached] == [
@@ -199,23 +185,6 @@ class TestRobustRankingCache:
         ]
         assert [s.mean_inflation for s in cached] == [
             s.mean_inflation for s in plain
-        ]
-
-    def test_parallel_ranking_identical(self, two_member_spec):
-        candidates = self._candidates(two_member_spec)
-        factory = crash_straggler_factory(0.05)
-        policy = RetryBackoffPolicy()
-        serial = rank_placements_robust(
-            two_member_spec, candidates, factory, policy,
-            method="surrogate",
-        )
-        parallel = rank_placements_robust(
-            two_member_spec, candidates, factory, policy,
-            method="surrogate", parallel=True,
-        )
-        assert [s.name for s in parallel] == [s.name for s in serial]
-        assert [s.objective for s in parallel] == [
-            s.objective for s in serial
         ]
 
 
@@ -229,9 +198,9 @@ class TestPlannerProbeMemoization:
 
     def test_cached_planner_same_plan(self, two_member_spec):
         plain = ResourceConstrainedPlanner().plan(two_member_spec, 3)
-        cached = ResourceConstrainedPlanner(cache=StageCache()).plan(
-            two_member_spec, 3
-        )
+        cached = ResourceConstrainedPlanner(
+            context=PlanningContext(cache=StageCache())
+        ).plan(two_member_spec, 3)
         assert cached.placement == plain.placement
         assert cached.analysis_cores == plain.analysis_cores
         assert cached.score.objective == plain.score.objective

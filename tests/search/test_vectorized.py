@@ -28,7 +28,8 @@ from repro.platform.cluster import Cluster
 from repro.platform.network import DragonflyNetwork
 from repro.platform.specs import cori_like_node
 from repro.runtime.spec import EnsembleSpec, default_member
-from repro.scheduler.objectives import PlacementScore, score_placement
+from repro.scheduler.context import PlanningContext
+from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import ExhaustiveSearchPolicy
 from repro.search import find_best_placement
 from repro.search.canonical import (
@@ -43,7 +44,6 @@ from repro.search.vectorized import (
     VectorizedScorer,
     VectorizedUnsupported,
     argmax_batch,
-    best_score_index,
     find_best_placement_vectorized,
 )
 from repro.util.errors import PlacementError
@@ -192,7 +192,7 @@ class TestUnsupportedContexts:
 
     def test_engine_falls_back_to_scalar(self):
         # a space large enough to route through the kernel, but an
-        # unsupported DTL: vectorized=True must silently fall back to
+        # unsupported DTL: a vectorized search must fall back to
         # the scalar path and still return the scalar winner
         spec = EnsembleSpec(
             "fallback",
@@ -209,8 +209,12 @@ class TestUnsupportedContexts:
             >= MIN_VECTORIZED_CANDIDATES
         )
         dtl = ParallelFilesystemDTL()
-        vectorized = find_best_placement(spec, 8, 32, dtl=dtl, vectorized=True)
-        scalar = find_best_placement(spec, 8, 32, dtl=dtl)
+        vectorized = find_best_placement(
+            spec, 8, 32, context=PlanningContext(dtl=dtl, vectorized=True)
+        )
+        scalar = find_best_placement(
+            spec, 8, 32, context=PlanningContext(dtl=dtl)
+        )
         assert vectorized[0].placement == scalar[0].placement
         assert vectorized[0].objective == scalar[0].objective
         assert vectorized[1] == scalar[1]
@@ -274,7 +278,7 @@ class TestBranchAndBound:
 
     def test_engine_routes_large_spaces_through_the_kernel(self):
         # ~10k canonical candidates: above MIN_VECTORIZED_CANDIDATES,
-        # so vectorized=True actually takes the batch path — and must
+        # so a vectorized search actually takes the batch path — and must
         # return the scalar engine's exact result
         spec = EnsembleSpec(
             "routed",
@@ -284,7 +288,9 @@ class TestBranchAndBound:
             ),
         )
         scalar, n_scalar = find_best_placement(spec, 8, 32)
-        fast, n_fast = find_best_placement(spec, 8, 32, vectorized=True)
+        fast, n_fast = find_best_placement(
+            spec, 8, 32, context=PlanningContext(vectorized=True)
+        )
         assert n_fast == n_scalar
         assert fast.placement == scalar.placement
         assert fast.objective == scalar.objective
@@ -334,54 +340,6 @@ class TestBatchArgmax:
     def test_argmax_batch_rejects_empty(self):
         with pytest.raises(ValueError):
             argmax_batch(np.empty(0), np.empty(0))
-
-    def _score(self, utility, num_nodes, makespan, tag):
-        placement = assignment_to_placement(
-            _tie_heavy_spec(1), [0, 0], num_nodes
-        )
-        return PlacementScore(
-            placement=placement,
-            objective=utility,
-            ensemble_makespan=makespan,
-            num_nodes=num_nodes,
-            member_indicators=(float(tag),),
-        )
-
-    def test_best_score_index_full_key_tie_breaking(self):
-        # exercise every tie level of PlacementScore._key: utility,
-        # then fewest nodes, then lowest makespan, then first-found
-        scores = [
-            self._score(0.5, 4, 9.0, 0),
-            self._score(0.7, 4, 9.0, 1),  # best utility, first of ties
-            self._score(0.7, 3, 9.0, 2),  # fewer nodes wins
-            self._score(0.7, 3, 5.0, 3),  # lower makespan wins
-            self._score(0.7, 3, 5.0, 4),  # exact tie: first kept
-        ]
-        serial = None
-        serial_index = -1
-        for i, score in enumerate(scores):
-            if serial is None or score > serial:
-                serial = score
-                serial_index = i
-        assert serial_index == 3
-        assert best_score_index(scores) == serial_index
-
-    def test_best_score_index_rejects_empty(self):
-        with pytest.raises(ValueError):
-            best_score_index([])
-
-    def test_parallel_engine_tie_breaking_matches_serial(self):
-        # the parallel branch reduces with best_score_index; on a
-        # tie-heavy grid it must agree with the serial strict-> loop
-        spec = _tie_heavy_spec(3)
-        serial, n_serial = find_best_placement(spec, 4, 32)
-        parallel, n_parallel = find_best_placement(
-            spec, 4, 32, parallel=True
-        )
-        assert n_parallel == n_serial
-        assert parallel.placement == serial.placement
-        assert parallel.objective == serial.objective
-        assert parallel.ensemble_makespan == serial.ensemble_makespan
 
 
 class TestOracleTier:

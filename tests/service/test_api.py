@@ -8,6 +8,7 @@ status codes are exercised end to end.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -17,7 +18,7 @@ import pytest
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
 from repro.search.engine import find_best_placement
-from repro.service.api import PlacementServer, make_server
+from repro.service.api import MAX_BODY_BYTES, PlacementServer, make_server
 from repro.service.client import PlacementClient, ServiceError
 from repro.service.schemas import (
     PlacementRequest,
@@ -145,6 +146,48 @@ class TestRoutes:
         assert stats["result_cache"]["hits"] == 1
         assert "stage_hits" in stats["stage_cache"]
         assert stats["workers"] == 2
+
+
+def _post_with_length(server, length: str, body: bytes = b"{}"):
+    """POST ``body`` announcing ``length``; (status, payload).
+
+    The socket timeout turns a handler that blocks on the body into a
+    test failure instead of a hang.
+    """
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestBodyLimits:
+    def test_non_integer_length_is_400(self, server):
+        status, payload = _post_with_length(server, "twelve")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_length_is_400(self, server):
+        status, payload = _post_with_length(server, "-1")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_length_is_413(self, server):
+        status, payload = _post_with_length(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+
+    def test_service_keeps_serving_after_refusals(self, server, client):
+        for length in ("twelve", "-1", str(MAX_BODY_BYTES + 1)):
+            _post_with_length(server, length)
+        assert client.health()["status"] == "ok"
+        snapshot = client.wait(client.submit(_search())["id"], timeout=30.0)
+        assert snapshot["state"] == "done"
 
 
 class TestCachedSubmission:

@@ -341,4 +341,3 @@ class TestDesRankPath:
             counters = service.stats()["batched"]
             assert counters["baseline_sims"] == 2
             assert counters["replicas_replayed"] == 2 * 3
-            assert counters["fallback_reason"] is None
