@@ -615,12 +615,12 @@ class CoScheduler:
                 resident = residents.get(name)
                 if resident is None or resident.generation != generation:
                     continue  # stale finish from a superseded partition
+                # every state change bumps the generation, so the live
+                # finish time is exact; advance() may still leave an ulp
+                # of delay or work behind from its subtraction
                 resident.advance(now)
-                if (
-                    resident.remaining > 1e-12
-                    or resident.pending_delay > 0.0
-                ):  # pragma: no cover - defensive; repartition always
-                    continue  # pushes a fresh finish for the new state
+                resident.pending_delay = 0.0
+                resident.remaining = 0.0
                 complete(name, now, "completed")
                 horizon = max(horizon, now)
                 drain_queue(now)

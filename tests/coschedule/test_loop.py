@@ -64,6 +64,33 @@ class TestConservationOverTime:
             assert completion.nodes_granted >= 1
             assert completion.finished_at >= completion.started_at
 
+    def test_migration_delay_rounding_does_not_drop_a_finish(self):
+        """Twins arriving together: the second is migrated as the first
+        finishes, and its delay cannot be served to the last ulp."""
+        stream = [
+            EnsembleRequest(
+                name=f"twin{i}",
+                spec=EnsembleSpec(
+                    f"twin{i}",
+                    (
+                        default_member(
+                            f"twin{i}-m0",
+                            num_analyses=1,
+                            n_steps=2,
+                            sim_cores=16,
+                            ana_cores=8,
+                        ),
+                    ),
+                ),
+                arrival_time=1.0,
+            )
+            for i in range(2)
+        ]
+        result = CoScheduler(total_nodes=4).run(stream)
+        assert result.admitted == ("twin0", "twin1")
+        assert [c.name for c in result.completions] == ["twin0", "twin1"]
+        assert all(c.reason == "completed" for c in result.completions)
+
 
 class TestElasticMembership:
     def test_leave_shrinks_and_join_grows_the_resident(self):
