@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the fast placement-search engine against the seed paths.
 
-Three measurements, each with a built-in exactness check:
+Four measurements, each with a built-in exactness check:
 
 - **exhaustive**: :func:`repro.search.engine.find_best_placement`
   (canonical enumeration + stage cache) against the seed loop
@@ -13,6 +13,12 @@ Three measurements, each with a built-in exactness check:
   .SimulatedAnnealingPolicy` with incremental (delta) evaluation
   against the same schedule re-scoring every candidate in full.
   Identical placements and move statistics are asserted.
+- **robust**: a service-shaped robust search (4 members x 1 analysis
+  on 6 nodes, node-level crashes at 5% under checkpoint-restart, as
+  ``PlacementRequest(robust_rate=...)`` builds it) on the scalar engine
+  and on the batch kernel with its shortlist re-score. Same winner,
+  same floats, same candidate count — asserted exactly — and the
+  kernel must be at least :data:`ROBUST_FLOOR` times faster.
 - **scaling**: the vectorized branch-and-bound search
   (:func:`~repro.search.vectorized.find_best_placement_vectorized`)
   over a nodes x members grid. Each cell times the raw column kernel
@@ -57,6 +63,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.faults.analytic import (  # noqa: E402
+    RobustnessTerm,
+    node_crash_builder,
+)
+from repro.faults.recovery import make_policy  # noqa: E402
 from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
 from repro.scheduler.annealing import (  # noqa: E402
     SimulatedAnnealingPolicy,
@@ -84,6 +95,13 @@ from repro.verify.oracles import (  # noqa: E402
 #: required speedups — the regression floors CI enforces.
 EXHAUSTIVE_FLOOR = 10.0
 ANNEALING_FLOOR = 5.0
+ROBUST_FLOOR = 10.0
+#: robust row: (members, analyses, nodes), failure rate, policy
+ROBUST_SHAPE = (4, 1, 6)
+ROBUST_RATE = 0.05
+ROBUST_POLICY = "restart"
+#: timed repetitions per route (best of), each on a fresh StageCache
+ROBUST_REPEATS = 3
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_search.json"
 
@@ -246,6 +264,83 @@ def bench_exhaustive(num_nodes: int) -> tuple:
         "speedup": t_seed / t_fast,
         "objective": fast_best.objective,
         "stage_cache": stage_cache.stats(),
+    }
+    return row, report
+
+
+def _robust_spec() -> EnsembleSpec:
+    members, analyses, _ = ROBUST_SHAPE
+    return EnsembleSpec(
+        "bench-robust",
+        tuple(
+            default_member(
+                f"em{i + 1}", num_analyses=analyses, n_steps=8,
+                natoms=280_000,
+            )
+            for i in range(members)
+        ),
+    )
+
+
+def bench_robust() -> tuple:
+    """Scalar engine vs the batch kernel on one robust search."""
+    from repro.search.cache import StageCache
+    from repro.search.engine import last_search_routing
+
+    spec = _robust_spec()
+    num_nodes = ROBUST_SHAPE[2]
+    term = RobustnessTerm(
+        policy=make_policy(ROBUST_POLICY),
+        model_builder=node_crash_builder(ROBUST_RATE),
+    )
+
+    def timed(vectorized: bool) -> tuple:
+        best_s, outcome = None, None
+        for _ in range(ROBUST_REPEATS):
+            context = PlanningContext(
+                robustness=term, cache=StageCache(), vectorized=vectorized
+            )
+            t0 = time.perf_counter()
+            outcome = find_best_placement(
+                spec, num_nodes, CORES_PER_NODE, context=context
+            )
+            elapsed = time.perf_counter() - t0
+            best_s = elapsed if best_s is None else min(best_s, elapsed)
+        return best_s, outcome, last_search_routing()
+
+    t_scalar, (scalar, n_scalar), _ = timed(False)
+    t_kernel, (kernel, n_kernel), routing = timed(True)
+    report = DivergenceReport(
+        scenario="bench-robust",
+        checks=(
+            MetricCheck("ensemble", "kernel_route", "scalar-vs-kernel",
+                        1.0, 1.0 if routing["vectorized_used"] else 0.0,
+                        0.0),
+            MetricCheck("ensemble", "candidates", "scalar-vs-kernel",
+                        float(n_scalar), float(n_kernel), 0.0),
+            MetricCheck("ensemble", "same_placement", "scalar-vs-kernel",
+                        1.0,
+                        1.0 if kernel.placement == scalar.placement else 0.0,
+                        0.0),
+            MetricCheck("ensemble", "objective", "scalar-vs-kernel",
+                        scalar.objective, kernel.objective, 0.0),
+            MetricCheck("ensemble", "robust_penalty", "scalar-vs-kernel",
+                        scalar.robust_penalty, kernel.robust_penalty, 0.0),
+            MetricCheck("ensemble", "makespan", "scalar-vs-kernel",
+                        scalar.ensemble_makespan, kernel.ensemble_makespan,
+                        0.0),
+        ),
+    )
+    row = {
+        "shape": list(ROBUST_SHAPE),
+        "robust_rate": ROBUST_RATE,
+        "policy": ROBUST_POLICY,
+        "cores_per_node": CORES_PER_NODE,
+        "candidates": n_scalar,
+        "scalar_seconds": t_scalar,
+        "kernel_seconds": t_kernel,
+        "speedup": t_scalar / t_kernel,
+        "utility": kernel.utility,
     }
     return row, report
 
@@ -515,6 +610,7 @@ def run(quick: bool) -> dict:
         num_nodes=6 if quick else 7
     )
     annealing, annealing_report = bench_annealing()
+    robust, robust_report = bench_robust()
     scaling, scaling_report = bench_scaling(quick)
     return {
         "benchmark": "search",
@@ -522,13 +618,16 @@ def run(quick: bool) -> dict:
         "floors": {
             "exhaustive": EXHAUSTIVE_FLOOR,
             "annealing": ANNEALING_FLOOR,
+            "robust": ROBUST_FLOOR,
         },
         "exhaustive": exhaustive,
         "annealing": annealing,
+        "robust": robust,
         "scaling": scaling,
         "correctness": [
             exhaustive_report.to_dict(),
             annealing_report.to_dict(),
+            robust_report.to_dict(),
             scaling_report.to_dict(),
         ],
     }
@@ -560,7 +659,12 @@ def check_floors(results: dict) -> bool:
     for section, floor in (
         ("exhaustive", EXHAUSTIVE_FLOOR),
         ("annealing", ANNEALING_FLOOR),
+        ("robust", ROBUST_FLOOR),
     ):
+        if section not in results:
+            print(f"{section}: MISSING section")
+            ok = False
+            continue
         speedup = results[section]["speedup"]
         status = "ok" if speedup >= floor else "BELOW FLOOR"
         print(
@@ -670,6 +774,11 @@ def main() -> int:
         f"annealing: {results['annealing']['evaluations']} evaluations, "
         f"full {results['annealing']['full_seconds']:.2f}s -> "
         f"incremental {results['annealing']['incremental_seconds']:.2f}s"
+    )
+    print(
+        f"robust: {results['robust']['candidates']} candidates, "
+        f"scalar {results['robust']['scalar_seconds']:.3f}s -> kernel "
+        f"{results['robust']['kernel_seconds']:.3f}s"
     )
     print(format_scaling_table(results["scaling"]["rows"]))
     if not check_correctness(results):

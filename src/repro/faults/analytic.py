@@ -56,7 +56,9 @@ in ``docs/FAULT_MODELS.md`` quantifies the error against DES trials;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.insitu import non_overlapped_segment
 from repro.core.stages import MemberStages
@@ -81,6 +83,15 @@ from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
 
 
+#: a float, or an array of them priced elementwise (the batch kernel)
+FloatOrArray = Union[float, np.ndarray]
+
+
+def _plain(value: FloatOrArray) -> FloatOrArray:
+    """A 0-d numpy result back to a Python float; arrays unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class CrashResponse:
     """Expected resolution of one crash under a recovery policy.
@@ -88,6 +99,8 @@ class CrashResponse:
     ``delay`` is the expected recovery delay in virtual seconds;
     ``drop_fraction`` the probability the crash resolves by dropping
     the component (zero stretch, lost coverage) instead of re-running.
+    Both are floats, or arrays when the step times were (one entry per
+    candidate component, as the batch kernel prices them).
 
     Examples
     --------
@@ -95,13 +108,14 @@ class CrashResponse:
     0.5
     """
 
-    delay: float
-    drop_fraction: float
+    delay: FloatOrArray
+    drop_fraction: FloatOrArray
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
+        if np.any(np.asarray(self.delay) < 0):
             raise ValidationError(f"delay must be >= 0, got {self.delay!r}")
-        if not 0.0 <= self.drop_fraction <= 1.0:
+        drop = np.asarray(self.drop_fraction)
+        if not np.all((drop >= 0.0) & (drop <= 1.0)):
             raise ValidationError(
                 f"drop_fraction must lie in [0, 1], got "
                 f"{self.drop_fraction!r}"
@@ -115,9 +129,25 @@ def _mean_lost_steps(period: int, n_steps: int) -> float:
     return sum(s % period for s in range(n_steps)) / n_steps
 
 
+def priced_in_closed_form(policy: RecoveryPolicy) -> bool:
+    """Whether :func:`expected_crash_response` prices ``policy`` by formula.
+
+    True for the four built-in policy types (and the policies they
+    wrap); False when some policy in the tree would be *probed*, which
+    only works one scalar step time at a time.
+    """
+    if isinstance(policy, AdaptiveRecoveryPolicy):
+        return priced_in_closed_form(policy.primary) and (
+            priced_in_closed_form(policy.degraded)
+        )
+    if isinstance(policy, DropAnalysisPolicy):
+        return priced_in_closed_form(policy.fallback)
+    return isinstance(policy, (RetryBackoffPolicy, CheckpointRestartPolicy))
+
+
 def expected_crash_response(
     policy: RecoveryPolicy,
-    step_time: float,
+    step_time: FloatOrArray,
     n_steps: int,
     is_analysis: bool,
     expected_crashes: float = 0.0,
@@ -129,13 +159,19 @@ def expected_crash_response(
     :class:`~repro.faults.injector.StageContext` — so custom policies
     participate in the surrogate without registering anything.
 
+    The built-in formulas are elementwise in ``step_time``: pass an
+    array and every field of the response is priced per entry, with
+    the very float operations a scalar call performs (the batch
+    kernel's robust columns use this; scalar calls still return
+    Python floats). Probed policies need a scalar ``step_time``.
+
     Parameters
     ----------
     policy:
         The recovery policy to price.
     step_time:
         The component's nominal full-step time (prices checkpoint
-        re-computation).
+        re-computation); a float or an array of them.
     n_steps:
         Steps in the run (prices the mean checkpoint distance and the
         step-0 degrade fallback).
@@ -169,14 +205,18 @@ def expected_crash_response(
             policy.degraded, step_time, n_steps, is_analysis,
             expected_crashes,
         )
-        spend = expected_crashes * primary.delay
-        if spend <= policy.budget or spend <= 0.0:
-            covered = 1.0
-        else:
-            covered = policy.budget / spend
+        spend = expected_crashes * np.asarray(primary.delay)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            covered = np.where(
+                (spend <= policy.budget) | (spend <= 0.0),
+                1.0,
+                np.divide(policy.budget, spend),
+            )
         return CrashResponse(
-            delay=covered * primary.delay + (1 - covered) * degraded.delay,
-            drop_fraction=(
+            delay=_plain(
+                covered * primary.delay + (1 - covered) * degraded.delay
+            ),
+            drop_fraction=_plain(
                 covered * primary.drop_fraction
                 + (1 - covered) * degraded.drop_fraction
             ),
@@ -210,6 +250,11 @@ def expected_crash_response(
     # unknown policy: probe it once at a representative mid-run site
     from repro.faults.injector import StageContext
 
+    if np.ndim(step_time) != 0:
+        raise ValidationError(
+            f"{type(policy).__name__} is probed, which prices one "
+            "scalar step time at a time"
+        )
     ctx = StageContext(
         member="surrogate",
         component="surrogate.ana" if is_analysis else "surrogate.sim",
@@ -625,6 +670,26 @@ class RobustnessTerm:
             return self.model_builder(placement)
         return self.model
 
+    def fixed_hazard(self) -> Optional[HazardProfile]:
+        """The hazard every candidate is priced under, if it is fixed.
+
+        The surrogate reads a model only through its
+        :class:`~repro.faults.models.HazardProfile`, so a term whose
+        hazard does not depend on the placement can be priced for a
+        whole batch of candidates at once. That holds for a shared
+        ``model`` with an analytic hazard, and for a builder that
+        declares its hazard as a ``hazard`` attribute (as
+        :func:`node_crash_builder` does). None otherwise: other
+        builders may build a different model per placement, and
+        scheduled models have no hazard.
+        """
+        if self.model_builder is not None:
+            return getattr(self.model_builder, "hazard", None)
+        try:
+            return self.model.hazard()
+        except ValidationError:
+            return None
+
     def penalty(
         self,
         spec: EnsembleSpec,
@@ -667,4 +732,12 @@ def node_crash_builder(
             placement, rate=rate, seed=seed, crash_point=crash_point
         )
 
+    # the hazard of every model built: the node-crash rate and crash
+    # point, whatever the placement (see RobustnessTerm.fixed_hazard)
+    build.hazard = HazardProfile(  # type: ignore[attr-defined]
+        site_rate=rate,
+        kind_weights={FaultKind.CRASH: 1.0},
+        magnitudes={FaultKind.CRASH: crash_point},
+        node_level=True,
+    )
     return build

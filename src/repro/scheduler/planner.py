@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 from repro.components.analysis import EigenAnalysisModel
 from repro.core.heuristic import CoreAllocationChoice, choose_analysis_cores
 from repro.core.stages import MemberStages
+from repro.platform.cluster import Cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
@@ -65,7 +66,8 @@ class ResourceConstrainedPlanner:
         makes the plan's score carry the surrogate's expected
         inflation penalty (and order by the penalized utility), its
         ``cache`` is shared across ``plan`` calls, and its
-        ``cluster``/``dtl`` fix the platform.
+        ``cluster``/``dtl`` fix the platform the final score and the
+        §3.4 core-count probes are predicted on.
     """
 
     def __init__(
@@ -165,9 +167,12 @@ class ResourceConstrainedPlanner:
                 k + 1,
                 (MemberPlacement(0, tuple(range(1, k + 1))),),
             )
-            stages = predict_member_stages(probe, placement)[
-                probe_member.name
-            ]
+            stages = predict_member_stages(
+                probe,
+                placement,
+                cluster=self._probe_cluster(k + 1),
+                dtl=self.context.dtl,
+            )[probe_member.name]
             probe_stages[cores] = stages
             self.probe_evaluations += 1
             return stages
@@ -187,6 +192,24 @@ class ResourceConstrainedPlanner:
                 )
             return sweep
         return choice
+
+    def _probe_cluster(self, num_nodes: int) -> Optional[Cluster]:
+        """A fresh ``num_nodes`` allocation of the context's platform.
+
+        None for the default platform (the predictor's own Cori-like
+        default); otherwise the context's node, network and contention
+        models on a private cluster, so a probe neither needs the
+        context's cluster to be large enough nor resets its nodes.
+        """
+        cluster = self.context.cluster
+        if cluster is None:
+            return None
+        return Cluster(
+            node_spec=cluster.node_spec,
+            num_nodes=num_nodes,
+            network=cluster.network,
+            contention=cluster.contention,
+        )
 
     @staticmethod
     def _resize_member(

@@ -360,9 +360,9 @@ def rank_placements_robust(
         Its ``cluster``/``dtl`` are threaded into every scoring call
         (DES, batched, and surrogate alike); its ``cache`` is the
         :class:`~repro.search.cache.StageCache` the surrogate method
-        shares across candidates with matching local patterns (a
-        default-context cache is built when omitted; the DES method
-        ignores it).
+        shares across candidates with matching local patterns (one
+        for the context's platform is built when it is omitted or
+        belongs to another platform; the DES method ignores it).
 
     Returns
     -------
@@ -390,10 +390,10 @@ def rank_placements_robust(
     if method == "surrogate":
         model = model_factory(base_seed)
         cache = context.cache
-        if cache is None:
+        if cache is None or not cache.matches(cluster, dtl):
             from repro.search.cache import StageCache
 
-            cache = StageCache()
+            cache = StageCache(cluster, dtl)
         scores = [
             surrogate_score_placement(
                 spec, placement, model, policy, cluster=cluster, dtl=dtl,

@@ -34,7 +34,7 @@ hit the same entries while topologically distinct ones do not.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.indicators import (
     FINAL_STAGE_ORDER,
@@ -66,6 +66,14 @@ _HOP_DETERMINED_DTLS = (
 )
 
 Signature = Tuple
+
+#: :meth:`StageCache.trim` bounds. Spec-identity tables (one entry per
+#: spec or component model seen, each pinning its spec) are cheap to
+#: rebuild and are dropped past ``TRIM_MAX_SPECS`` specs; the content
+#: memo tables, which carry hits across jobs, past ``TRIM_MAX_ENTRIES``
+#: entries in total.
+TRIM_MAX_SPECS = 32
+TRIM_MAX_ENTRIES = 20_000
 
 
 class StageCache:
@@ -129,6 +137,9 @@ class StageCache:
         ] = {}
         self._member_stages: Dict[Signature, MemberStages] = {}
         self._member_terms: Dict[Tuple, Tuple[float, float]] = {}
+        # the batch kernel's node populations: per-position dilations
+        # keyed by the residents' (cores, profile) content, in order
+        self._population_dilations: Dict[Tuple, Tuple[float, ...]] = {}
 
         # diagnostics
         self.stage_hits = 0
@@ -251,6 +262,27 @@ class StageCache:
         out = [merged[name] for name in names]
         self._node_assessments[node_sig] = out
         return out
+
+    def population_dilations(
+        self,
+        population: Tuple,
+        assess: Callable[[], Tuple[float, ...]],
+    ) -> Tuple[float, ...]:
+        """Memoized per-position dilations of one node population.
+
+        ``population`` is the residents' content keys in allocation
+        order (what :class:`~repro.search.vectorized.VectorizedScorer`
+        codes a node by); ``assess`` computes the dilations on a miss.
+        Hits and misses count as node-level lookups.
+        """
+        cached = self._population_dilations.get(population)
+        if cached is not None:
+            self.node_hits += 1
+            return cached
+        self.node_misses += 1
+        cached = assess()
+        self._population_dilations[population] = cached
+        return cached
 
     # -- flat-assignment evaluation ------------------------------------------
     def _flat_layout(
@@ -463,6 +495,47 @@ class StageCache:
         makespan = member_makespan(stages, member.n_steps)
         self._member_terms[key] = (indicator, makespan)
         return (indicator, makespan)
+
+    # -- memory bound -----------------------------------------------------------
+    def entries(self) -> int:
+        """Entries held in the content memo tables."""
+        return (
+            len(self._class_ids)
+            + len(self._node_sig_ids)
+            + len(self._hops)
+            + len(self._node_assessments)
+            + len(self._member_stages)
+            + len(self._member_terms)
+            + len(self._population_dilations)
+        )
+
+    def trim(self) -> bool:
+        """Drop memo tables past their bound; True if any were dropped.
+
+        Meant for the gaps between searches (a service worker calls it
+        after every job), never during one. Dropping only forgets: a
+        later lookup recomputes the same floats. The hit/miss counters
+        are kept, so their deltas stay meaningful.
+        """
+        if self.entries() > TRIM_MAX_ENTRIES:
+            for table in (
+                self._class_ids,
+                self._model_keys,
+                self._node_sig_ids,
+                self._layouts,
+                self._hops,
+                self._node_assessments,
+                self._member_stages,
+                self._member_terms,
+                self._population_dilations,
+            ):
+                table.clear()
+            return True
+        if len(self._layouts) > TRIM_MAX_SPECS:
+            self._layouts.clear()
+            self._model_keys.clear()
+            return True
+        return False
 
     # -- placement-level API --------------------------------------------------
     @staticmethod

@@ -133,11 +133,15 @@ def find_best_placement(
         ``vectorized`` — opt in to the batch column kernel with
         branch-and-bound (:func:`~repro.search.vectorized
         .find_best_placement_vectorized`). The kernel applies only
-        when the context is vectorizable, no robustness term is
-        present, and the canonical space is large enough to amortize
-        chunk setup (``MIN_VECTORIZED_CANDIDATES``); otherwise the
-        scalar path runs unchanged. The returned score is re-derived
-        through the scalar cache either way, and ``evaluated`` counts
+        when the context is vectorizable — a robustness term must be
+        a placement-independent node-level crash hazard under a
+        closed-form policy, as :func:`~repro.faults.analytic
+        .node_crash_builder` terms are — and the canonical space is
+        large enough to amortize chunk setup
+        (``MIN_VECTORIZED_CANDIDATES``); otherwise the scalar path
+        runs unchanged. The returned score is re-derived through the
+        scalar cache either way (a robust search re-scores its
+        shortlist), and ``evaluated`` counts
         the whole canonical space (scored + pruned), so callers
         observe identical results. When the scalar path runs despite
         ``vectorized=True``, the reason is recorded —
@@ -163,7 +167,7 @@ def find_best_placement(
 
     fallback_reason: Optional[str] = None
     component_cores = component_core_demands(spec)
-    if vectorized and robustness is None:
+    if vectorized:
         from repro.search.canonical import count_canonical_assignments
         from repro.search.vectorized import (
             MIN_VECTORIZED_CANDIDATES,
@@ -183,6 +187,7 @@ def find_best_placement(
                     cluster=cluster,
                     dtl=dtl,
                     cache=cache,
+                    robustness=robustness,
                 )
             except VectorizedUnsupported as exc:
                 fallback_reason = f"context not vectorizable: {exc}"
@@ -194,8 +199,6 @@ def find_best_placement(
                 f"canonical space below threshold ({total} < "
                 f"{MIN_VECTORIZED_CANDIDATES} candidates)"
             )
-    elif vectorized:
-        fallback_reason = "robustness term present"
     _note_routing(vectorized, False, fallback_reason)
 
     evaluated = 0

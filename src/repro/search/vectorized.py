@@ -45,6 +45,14 @@ closed form with :class:`~repro.search.canonical.CompletionCounter`.
 The winner is re-scored through the scalar cache path before being
 returned, so callers observe the very same floats the scalar engine
 would have produced.
+
+Robust searches ride the same kernel: for a node-level crash hazard
+(the term every production caller builds) the surrogate penalty of
+:mod:`repro.faults.analytic` becomes a handful of extra columns over
+the stage columns above, the utility ``F - penalty`` is ranked, and a
+shortlist of near-best candidates is re-scored on the scalar path so
+the winner is still the scalar engine's (see
+:func:`find_best_placement_vectorized`).
 """
 
 from __future__ import annotations
@@ -57,6 +65,12 @@ import numpy as np
 
 from repro.dtl.base import DataTransportLayer
 from repro.dtl.dimes import InMemoryStagingDTL
+from repro.faults.analytic import (
+    RobustnessTerm,
+    expected_crash_response,
+    priced_in_closed_form,
+)
+from repro.faults.models import FaultKind
 from repro.platform.cluster import Cluster
 from repro.platform.contention import ContentionModel
 from repro.platform.network import DragonflyNetwork
@@ -76,11 +90,14 @@ from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
 
 #: Below this canonical-space size the scalar ``StageCache`` loop wins:
-#: chunk setup (array allocation, signature coding, table gathers)
-#: costs roughly a millisecond, which only amortizes over thousands of
-#: candidates. A ``vectorized`` :func:`~repro.search.engine
-#: .find_best_placement` stays on the scalar path for smaller instances.
-MIN_VECTORIZED_CANDIDATES = 2048
+#: a search's fixed kernel cost (scorer set-up, one chunk of column
+#: ops, the scalar re-score) is about 0.5 ms, which a warm scalar loop
+#: matches only up to about a dozen candidates (12 candidates: 0.69 ms
+#: scalar vs 0.64 ms kernel; 39: 2.0 vs 0.95 ms; robust searches cross
+#: over earlier, docs/PERFORMANCE.md §8). A ``vectorized``
+#: :func:`~repro.search.engine.find_best_placement` stays on the scalar
+#: path for smaller instances.
+MIN_VECTORIZED_CANDIDATES = 16
 
 #: Relative safety margin applied to the branch-and-bound upper bound
 #: before comparing against the incumbent. The bound arithmetic is a
@@ -88,6 +105,15 @@ MIN_VECTORIZED_CANDIDATES = 2048
 #: 1e-9 — the vectorized agreement tolerance — keeps the bound
 #: admissible against any rounding of either side.
 BOUND_SAFETY = 1e-9
+
+#: Rows per chunk of a search. A chunk's transients grow with rows x
+#: components^2 (the co-residence mask and its int64 reductions), so a
+#: robust search, whose spaces are small and whose F bound rarely
+#: prunes, scores smaller chunks: at 512 rows a worker's peak RSS over
+#: 900 robust-search jobs read 55.6 MB against 59.8 MB at 8192, at the
+#: same speed.
+CHUNK_ROWS = 8192
+ROBUST_CHUNK_ROWS = 512
 
 #: A dragonfly minimal route is at most 5 hops (see
 #: :class:`~repro.platform.network.DragonflyNetwork`).
@@ -110,27 +136,40 @@ class ChunkEvaluation:
 
     ``objectives``/``makespans`` are ``(B,)``; ``indicators`` is
     ``(B, num_members)`` — the per-member ``P^{U,A,P}`` columns that
-    Eq. 9 aggregates.
+    Eq. 9 aggregates. ``penalties`` is the ``(B,)`` robustness penalty
+    ``weight * (E[inflation] - 1)`` when the scorer carries a
+    robustness term, else None.
     """
 
     objectives: np.ndarray
     makespans: np.ndarray
     indicators: np.ndarray
+    penalties: Optional[np.ndarray] = None
+
+    @property
+    def utilities(self) -> np.ndarray:
+        """The search target: objective minus the robustness penalty."""
+        if self.penalties is None:
+            return self.objectives
+        return self.objectives - self.penalties
 
 
 @dataclass(frozen=True)
 class VectorizedSearchResult:
     """Outcome of :func:`find_best_placement_vectorized`.
 
-    ``best`` carries scalar-path floats (the winner is re-scored
-    through the :class:`StageCache`); ``scored + pruned`` equals the
-    full canonical count, so reporting is independent of how much the
-    bound managed to cut.
+    ``best`` carries scalar-path floats (the winner, or a robust
+    search's shortlist, is re-scored through the :class:`StageCache`);
+    ``scored + pruned`` equals the full canonical count, so reporting
+    is independent of how much the bound managed to cut.
     """
 
     best: PlacementScore
     scored: int
     pruned: int
+    #: candidates re-scored on the scalar path (the winner alone, or a
+    #: robust search's shortlist)
+    rescored: int = 1
 
     @property
     def candidates(self) -> int:
@@ -169,6 +208,14 @@ class VectorizedScorer:
     DIMES-like :class:`InMemoryStagingDTL` (the models whose cost
     formulas the kernels replicate); anything else raises
     :class:`VectorizedUnsupported` so callers can fall back.
+
+    A ``robustness`` term adds the surrogate's penalty columns (see
+    :meth:`_crash_penalties`). The kernel prices node-level crash
+    hazards that do not depend on the placement, under policies the
+    surrogate prices in closed form — what every production caller
+    builds with :func:`~repro.faults.analytic.node_crash_builder`.
+    Component-level models, probed custom policies and builders
+    without a fixed hazard raise :class:`VectorizedUnsupported`.
     """
 
     def __init__(
@@ -177,6 +224,8 @@ class VectorizedScorer:
         num_nodes: int,
         cluster: Optional[Cluster] = None,
         dtl: Optional[DataTransportLayer] = None,
+        robustness: Optional[RobustnessTerm] = None,
+        cache: Optional[StageCache] = None,
     ) -> None:
         require_positive_int("num_nodes", num_nodes)
         self.spec = spec
@@ -208,9 +257,18 @@ class VectorizedScorer:
             )
         self.dtl = dtl
         self._network = network
+        # a StageCache of this platform keeps assessed node populations
+        # across searches (a worker's cache stays warm between jobs)
+        self._cache = (
+            cache if cache is not None and cache.matches(cluster, dtl)
+            else None
+        )
 
         self._build_layout(spec)
         self._build_cost_tables(dtl, network.spec)
+        self.robustness = robustness
+        if robustness is not None:
+            self._build_crash_columns(robustness)
 
         # signature-code -> dilation-table row, grown lazily; the
         # parallel sorted arrays serve the vectorized lookups
@@ -226,6 +284,7 @@ class VectorizedScorer:
     # -- static precomputation ----------------------------------------------
     def _build_layout(self, spec: EnsembleSpec) -> None:
         class_ids: Dict[Tuple, int] = {}
+        class_keys: List[Tuple] = []
         class_cores: List[int] = []
         class_profiles: List[object] = []
         comp_class: List[int] = []
@@ -255,6 +314,7 @@ class VectorizedScorer:
                 if cls is None:
                     cls = len(class_ids)
                     class_ids[key] = cls
+                    class_keys.append(key)
                     class_cores.append(model.cores)  # type: ignore[attr-defined]
                     class_profiles.append(profile)
                 if model is not member.simulation:
@@ -266,6 +326,7 @@ class VectorizedScorer:
 
         self.num_components = len(comp_class)
         self.num_members = len(spec.members)
+        self._class_keys = class_keys
         self._class_cores = class_cores
         self._class_profiles = class_profiles
         self._comp_class = np.asarray(comp_class, dtype=np.int64)
@@ -333,6 +394,55 @@ class VectorizedScorer:
         self._nodes_per_router = net.nodes_per_router
         self._nodes_per_group = net.nodes_per_group
 
+    def _build_crash_columns(self, term: RobustnessTerm) -> None:
+        # the constants surrogate_resilience derives per candidate, for
+        # a node-level crash hazard that is the same for every candidate
+        hazard = term.fixed_hazard()
+        if hazard is None:
+            raise VectorizedUnsupported(
+                "robustness model is built per placement (no fixed hazard)"
+            )
+        if not hazard.node_level:
+            raise VectorizedUnsupported(
+                "robustness model is component-level (per-kind surrogate "
+                "terms have no columns)"
+            )
+        if not priced_in_closed_form(term.policy):
+            raise VectorizedUnsupported(
+                f"recovery policy {type(term.policy).__name__} is probed, "
+                "not priced in closed form"
+            )
+        self._weight = term.weight
+        self._policy = term.policy
+        self._crash_point = hazard.magnitudes.get(FaultKind.CRASH, 0.5)
+        # node-level hazards crash every component: the adaptive budget
+        # sees rate * n_steps crashes per component, summed in row order
+        expected_crashes = 0.0
+        for member in self.spec.members:
+            for _ in range(1 + member.num_couplings):
+                expected_crashes += hazard.site_rate * 1.0 * member.n_steps
+        self._expected_crashes = expected_crashes
+        member_of = np.repeat(
+            np.arange(self.num_members),
+            np.diff(np.append(self._offsets, self.num_components)),
+        )
+        self._comp_events = hazard.site_rate * self._n_steps[member_of]
+        # ordered (component, other component of its member) pairs
+        self._member_pairs = [
+            (j, k)
+            for j in range(self.num_components)
+            for k in range(self.num_components)
+            if j != k and member_of[j] == member_of[k]
+        ]
+        # the response formulas take one n_steps each: price the
+        # simulation and analysis columns per distinct step count
+        self._response_groups: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        steps = np.asarray([m.n_steps for m in self.spec.members])
+        for n in sorted(set(steps.tolist())):
+            members = np.flatnonzero(steps == n)
+            analyses = np.flatnonzero(np.isin(self._ana_member, members))
+            self._response_groups.append((n, members, analyses))
+
     # -- node-signature assessment -------------------------------------------
     def _assess_code(self, code: int) -> np.ndarray:
         """Per-position dilations of one node-population code.
@@ -360,18 +470,29 @@ class VectorizedScorer:
             raise PlacementError(
                 f"nodes oversubscribed (capacity {self._node_spec.cores})"
             )
-        node = Node(0, self._node_spec)
-        for pos, cls in enumerate(sequence):
-            node.allocate(
-                f"r{pos}",
-                self._class_cores[cls],
-                replace(self._class_profiles[cls], name=f"r{pos}"),
+
+        def assess() -> Tuple[float, ...]:
+            node = Node(0, self._node_spec)
+            for pos, cls in enumerate(sequence):
+                node.allocate(
+                    f"r{pos}",
+                    self._class_cores[cls],
+                    replace(self._class_profiles[cls], name=f"r{pos}"),
+                )
+            merged = node.assess(self._contention)
+            self.assessed_codes += 1
+            return tuple(
+                merged[f"r{pos}"].dilation for pos in range(len(sequence))
             )
-        merged = node.assess(self._contention)
+
+        if self._cache is None:
+            dilations = assess()
+        else:
+            dilations = self._cache.population_dilations(
+                tuple(self._class_keys[cls] for cls in sequence), assess
+            )
         row = np.ones(self.num_components, dtype=float)
-        for pos in range(len(sequence)):
-            row[pos] = merged[f"r{pos}"].dilation
-        self.assessed_codes += 1
+        row[: len(dilations)] = dilations
         return row
 
     def _ensure_codes(self, codes: np.ndarray) -> None:
@@ -475,7 +596,8 @@ class VectorizedScorer:
             0,
         )
         read = self._read_table[self._ana_member, hops]
-        ana_active = read + self._ana_solo * dilation[:, self._ana_cols]
+        ana_compute = self._ana_solo * dilation[:, self._ana_cols]
+        ana_active = read + ana_compute
         n_remote = np.add.reduceat(
             remote.astype(float), self._ana_offsets, axis=1
         )
@@ -507,11 +629,104 @@ class VectorizedScorer:
         mean = indicators.mean(axis=1)
         deviation = indicators - mean[:, None]
         objectives = mean - np.sqrt(np.mean(deviation ** 2, axis=1))
+        penalties = None
+        if self.robustness is not None:
+            penalties = self._crash_penalties(
+                share, s_eff, sim_active, ana_compute, ana_active, sigma
+            )
         return ChunkEvaluation(
             objectives=objectives,
             makespans=makespans.max(axis=1),
             indicators=indicators,
+            penalties=penalties,
         )
+
+    def _crash_penalties(
+        self,
+        share: np.ndarray,
+        s_eff: np.ndarray,
+        sim_active: np.ndarray,
+        ana_compute: np.ndarray,
+        ana_active: np.ndarray,
+        sigma: np.ndarray,
+    ) -> np.ndarray:
+        """``weight * (E[inflation] - 1)`` per candidate, node-level crashes.
+
+        Column form of :func:`~repro.faults.analytic
+        .surrogate_resilience` for a node-level crash hazard: a
+        component's crash costs ``(1 - drop) * max(0, m * stage +
+        delay - slack)`` (stage ``S`` or ``A``, slack ``sigma* -
+        active``); one node event crashes every co-located component,
+        so a member is stretched by the maximum over its components on
+        each node, once per node; expected makespans are the baselines
+        ``n * sigma* + drain`` plus ``events *`` those stretches.
+        """
+        batch = share.shape[0]
+        sim_slack = sigma - sim_active
+        ana_slack = sigma[:, self._ana_member] - ana_active
+        stretch = np.empty((batch, self.num_components), dtype=float)
+        for n_steps, members, analyses in self._response_groups:
+            for cols, stage, active, slack, is_analysis in (
+                (self._sim_cols[members], s_eff[:, members],
+                 sim_active[:, members], sim_slack[:, members], False),
+                (self._ana_cols[analyses], ana_compute[:, analyses],
+                 ana_active[:, analyses], ana_slack[:, analyses], True),
+            ):
+                response = expected_crash_response(
+                    self._policy,
+                    step_time=active,
+                    n_steps=n_steps,
+                    is_analysis=is_analysis,
+                    expected_crashes=self._expected_crashes,
+                )
+                overhead = self._crash_point * stage + response.delay
+                stretch[:, cols] = (1.0 - response.drop_fraction) * (
+                    np.maximum(0.0, overhead - slack)
+                )
+        # one event per (node, member): the components of a member that
+        # share a node recover concurrently, and only the first of them
+        # (in component order) carries the group's term
+        first = np.ones((batch, self.num_components), dtype=bool)
+        for j, k in self._member_pairs:
+            if k < j:
+                first[:, j] &= ~share[:, j, k]
+        node_stretch = self._node_group_max(share, stretch)
+        member_stretch = np.add.reduceat(
+            np.where(first, self._comp_events * node_stretch, 0.0),
+            self._offsets,
+            axis=1,
+        )
+        ana_max = np.maximum.reduceat(ana_active, self._ana_offsets, axis=1)
+        baseline = self._n_steps * sigma + (sim_active + ana_max - sigma)
+        expected = baseline + member_stretch
+        worst_baseline = baseline.max(axis=1)
+        positive = worst_baseline > 0
+        inflation = np.where(
+            positive,
+            expected.max(axis=1) / np.where(positive, worst_baseline, 1.0),
+            1.0,
+        )
+        return self._weight * (inflation - 1.0)
+
+    def _node_group_max(
+        self, share: np.ndarray, stretch: np.ndarray
+    ) -> np.ndarray:
+        """Per component, the largest stretch among its node group.
+
+        The group of component ``j`` is ``j`` and the components of its
+        member on the same node (``share[:, j, k]``). Members have few
+        components, so a loop over their pairs of ``(B,)`` columns
+        stays smaller than any ``(B, C, C)`` float intermediate.
+        Stretches are ``>= 0``, so an absent pair can offer 0.
+        """
+        group_max = stretch.copy()
+        for j, k in self._member_pairs:
+            np.maximum(
+                group_max[:, j],
+                np.where(share[:, j, k], stretch[:, k], 0.0),
+                out=group_max[:, j],
+            )
+        return group_max
 
     def score_assignments(
         self, assignments: Iterable[Sequence[int]]
@@ -550,6 +765,24 @@ def _member_bounds(
     return u_max, suffix
 
 
+def _error_scale(
+    evaluation: ChunkEvaluation, weight: float
+) -> np.ndarray:
+    """Per-candidate magnitude the kernel's utility error is relative to.
+
+    ``F = mean - std`` is computed from terms of size ``mean + std =
+    2 * mean - F``; the penalty ``weight * (E/T0 - 1)`` from a ratio of
+    size ``1 + penalty / weight``, i.e. ``weight + penalty``. Rounding
+    in either is a few ulps of these magnitudes, so ``BOUND_SAFETY``
+    times their sum bounds the kernel-vs-scalar utility difference
+    with a wide margin.
+    """
+    mean = evaluation.indicators.mean(axis=1)
+    return np.abs(
+        2.0 * mean - evaluation.objectives + weight + evaluation.penalties
+    )
+
+
 def find_best_placement_vectorized(
     spec: EnsembleSpec,
     num_nodes: int,
@@ -557,27 +790,57 @@ def find_best_placement_vectorized(
     cluster: Optional[Cluster] = None,
     dtl: Optional[DataTransportLayer] = None,
     cache: Optional[StageCache] = None,
-    chunk_size: int = 8192,
+    chunk_size: Optional[int] = None,
     prune: bool = True,
+    robustness: Optional[RobustnessTerm] = None,
 ) -> VectorizedSearchResult:
     """Branch-and-bound batch search over the canonical space.
 
     Chunked RGS enumeration feeds :meth:`VectorizedScorer.score_chunk`;
     at every member boundary the admissible bound (exact ``CP/c`` for
     the assigned prefix, best-case for the rest, ``E <= 1`` closing the
-    gap) is compared against the incumbent objective and losing
-    subtrees are skipped, their sizes tallied in closed form. Pruning
-    requires the bound to be *strictly* below the incumbent, so an
-    objective tie — which the serial loop would resolve by makespan —
-    can never be discarded: the winner is the one the scalar engine
-    returns (property-tested against exhaustive search).
+    gap) is compared against the incumbent and losing subtrees are
+    skipped, their sizes tallied in closed form. Pruning requires the
+    bound to be *strictly* below the incumbent, so an objective tie —
+    which the serial loop would resolve by makespan — can never be
+    discarded.
+
+    With a ``robustness`` term the kernel scores the utility
+    ``F - penalty`` (:meth:`VectorizedScorer._crash_penalties`) and the
+    search keeps a *shortlist*: every candidate whose kernel utility
+    lies within ``BOUND_SAFETY`` (relative, see :func:`_error_scale`)
+    of the running kernel best. Only the shortlist is re-scored through
+    :func:`~repro.scheduler.objectives.score_placement`, in enumeration
+    order, and the first strict maximum wins — so the result is the
+    scalar engine's winner with the scalar engine's floats whenever the
+    kernel agrees with it to within that margin (≤1e-9 relative, the
+    oracle's ``vectorized`` tier). The F bound stays admissible because
+    the penalty is ``>= 0``, and the incumbent is the shortlist's lower
+    edge, so nothing the shortlist could keep is pruned. Without a
+    robustness term the kernel's first lexicographic argmax is
+    re-scored alone, as before (property-tested against exhaustive
+    search).
+
+    ``chunk_size`` defaults to :data:`CHUNK_ROWS`, or to
+    :data:`ROBUST_CHUNK_ROWS` with a robustness term.
 
     Raises :class:`VectorizedUnsupported` for contexts the kernels do
     not model and :class:`PlacementError` when nothing fits.
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
-    scorer = VectorizedScorer(spec, num_nodes, cluster=cluster, dtl=dtl)
+    if chunk_size is None:
+        chunk_size = CHUNK_ROWS if robustness is None else ROBUST_CHUNK_ROWS
+    if cache is None or not cache.matches(cluster, dtl):
+        cache = StageCache(cluster, dtl)
+    scorer = VectorizedScorer(
+        spec,
+        num_nodes,
+        cluster=cluster,
+        dtl=dtl,
+        robustness=robustness,
+        cache=cache,
+    )
     component_cores = component_core_demands(spec)
     capacity = scorer._node_spec.cores
     if cores_per_node > capacity:
@@ -608,6 +871,8 @@ def find_best_placement_vectorized(
     incumbent = -math.inf
     best_key: Optional[Tuple[float, float]] = None
     best_row: Optional[np.ndarray] = None
+    # robust shortlist: (rows, kernel utility upper edges) per chunk
+    shortlist: List[Tuple[np.ndarray, np.ndarray]] = []
     scored = 0
     pruned = 0
 
@@ -650,31 +915,53 @@ def find_best_placement_vectorized(
     )
     for chunk in chunks:
         evaluation = scorer.score_chunk(chunk)
-        index = argmax_batch(evaluation.objectives, evaluation.makespans)
-        key = (
-            float(evaluation.objectives[index]),
-            -float(evaluation.makespans[index]),
-        )
         scored += chunk.shape[0]
-        if best_key is None or key > best_key:
-            best_key = key
-            best_row = chunk[index].copy()
-            incumbent = key[0]
+        if robustness is None:
+            index = argmax_batch(evaluation.objectives, evaluation.makespans)
+            key = (
+                float(evaluation.objectives[index]),
+                -float(evaluation.makespans[index]),
+            )
+            if best_key is None or key > best_key:
+                best_key = key
+                best_row = chunk[index].copy()
+                incumbent = key[0]
+            continue
+        utility = evaluation.utilities
+        margin = BOUND_SAFETY * _error_scale(evaluation, robustness.weight)
+        floor = float(np.max(utility - margin))
+        if floor > incumbent:
+            # the shortlist's lower edge rose: drop what fell below it
+            incumbent = floor
+            shortlist = [
+                (rows[upper >= floor], upper[upper >= floor])
+                for rows, upper in shortlist
+            ]
+        upper = utility + margin
+        keep = upper >= incumbent
+        shortlist.append((chunk[keep], upper[keep]))
 
-    if best_row is None:
+    context = PlanningContext(
+        cluster=cluster, dtl=dtl, robustness=robustness, cache=cache
+    )
+    if robustness is not None:
+        rows = [row for chunk_rows, _ in shortlist for row in chunk_rows]
+    else:
+        rows = [] if best_row is None else [best_row]
+    if not rows:
         raise PlacementError(
             f"no feasible placement over {num_nodes} nodes of "
             f"{cores_per_node} cores"
         )
-    # re-score the winner through the scalar cache path: the returned
-    # floats are the scalar engine's, bit for bit, so downstream exact
-    # comparisons (service smoke, bench correctness) are unaffected
-    if cache is None or not cache.matches(cluster, dtl):
-        cache = StageCache(cluster, dtl)
-    placement = assignment_to_placement(spec, best_row.tolist(), num_nodes)
-    best = score_placement(
-        spec,
-        placement,
-        context=PlanningContext(cluster=cluster, dtl=dtl, cache=cache),
+    # re-score through the scalar cache path: the returned floats are
+    # the scalar engine's, bit for bit, and with a shortlist its first
+    # strict maximum is the scalar engine's winner
+    best: Optional[PlacementScore] = None
+    for row in rows:
+        placement = assignment_to_placement(spec, row.tolist(), num_nodes)
+        score = score_placement(spec, placement, context=context)
+        if best is None or score > best:
+            best = score
+    return VectorizedSearchResult(
+        best=best, scored=scored, pruned=pruned, rescored=len(rows)
     )
-    return VectorizedSearchResult(best=best, scored=scored, pruned=pruned)

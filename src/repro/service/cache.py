@@ -8,15 +8,19 @@ query is then an O(1) dictionary lookup that never reaches a worker;
 ``scripts/bench_service.py`` records the measured speedup (>= 10x
 floor) in ``BENCH_service.json``.
 
-The cache stores the JSON-ready result payload (plain dicts/lists/
-floats), so a hit returns exactly the bytes-equivalent payload a
+The cache stores each result payload as compact JSON text and decodes
+it on a hit. Payloads are JSON-ready (plain dicts/lists/floats) and
+JSON keeps floats exact, so a hit returns a payload equal to the one a
 worker produced — bit-identical floats, as the determinism tests
-assert. Eviction is least-recently-*used* (hits refresh recency), and
-the hit/miss/eviction counters feed ``GET /stats``.
+assert — while an entry costs its text (about 1.4 KB for a search)
+instead of a tree of Python objects (about 10 KB). Eviction is
+least-recently-*used* (hits refresh recency), and the
+hit/miss/eviction counters feed ``GET /stats``.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional
@@ -41,28 +45,29 @@ class ResultCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get(self, digest: str) -> Optional[dict]:
-        """The cached payload for ``digest``, or None (counted)."""
+        """A fresh copy of the cached payload for ``digest``, or None."""
         with self._lock:
-            payload = self._entries.get(digest)
-            if payload is None:
+            text = self._entries.get(digest)
+            if text is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(digest)
             self.hits += 1
-            return payload
+        return json.loads(text)
 
     def put(self, digest: str, payload: dict) -> None:
         """Insert (or refresh) one payload, evicting LRU on overflow."""
+        text = json.dumps(payload, separators=(",", ":"))
         with self._lock:
             if digest in self._entries:
                 self._entries.move_to_end(digest)
-            self._entries[digest] = payload
+            self._entries[digest] = text
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1

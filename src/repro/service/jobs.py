@@ -16,7 +16,11 @@ observed by polling or by draining ``pop_completed``):
   sequence);
 - **lifecycle** — ``PENDING -> RUNNING -> DONE | FAILED``, with
   ``CANCELLED`` reachable only from ``PENDING`` (a running job cannot
-  be preempted; its worker owns it until it resolves).
+  be preempted; its worker owns it until it resolves);
+- **bounded retention** — at most :data:`MAX_TERMINAL_JOBS` terminal
+  jobs are kept for polling; past that the oldest terminal job is
+  evicted (pending and running jobs never are), and a poll for an
+  evicted id answers as for an unknown one.
 
 All mutating calls are thread-safe; :meth:`claim_next` blocks workers
 on a condition variable so an idle pool costs nothing.
@@ -28,11 +32,17 @@ import enum
 import heapq
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.service.schemas import PlacementRequest, canonical_digest
 from repro.util.errors import ValidationError
+
+#: Terminal (done/failed/cancelled) jobs a queue keeps for polling.
+#: Each holds its request and result payload, so an unbounded history
+#: grew the server's memory with every job it ever answered.
+MAX_TERMINAL_JOBS = 256
 
 
 class JobState(enum.Enum):
@@ -94,16 +104,21 @@ class PlacementJob:
 class PlacementJobQueue:
     """Thread-safe priority queue of placement jobs.
 
-    The queue owns every job it has ever seen (until popped via
+    The queue owns every pending and running job, and the latest
+    :data:`MAX_TERMINAL_JOBS` terminal ones (until popped via
     :meth:`pop_completed`), so ``poll`` answers for running and
-    finished jobs alike. Workers claim with :meth:`claim_next` and
-    resolve with :meth:`complete` / :meth:`fail` / :meth:`requeue`.
+    recently finished jobs alike. Workers claim with
+    :meth:`claim_next` and resolve with :meth:`complete` /
+    :meth:`fail` / :meth:`requeue`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._jobs: Dict[str, PlacementJob] = {}
+        # terminal job ids, oldest first (the eviction order)
+        self._terminal: "OrderedDict[str, None]" = OrderedDict()
+        self.evicted = 0
         # heap entries: (-priority, seq, job_id); lazily invalidated on
         # cancel/update_priority (stale entries are skipped on pop)
         self._heap: List[tuple] = []
@@ -138,9 +153,15 @@ class PlacementJobQueue:
         request: PlacementRequest,
         result: dict,
         cached: bool = True,
+        digest: Optional[str] = None,
     ) -> PlacementJob:
-        """Record a job that never needs a worker (cache hit on submit)."""
-        digest = canonical_digest(request)
+        """Record a job that never needs a worker (cache hit on submit).
+
+        ``digest`` is the request's canonical digest when the caller
+        already computed it (the cache lookup did).
+        """
+        if digest is None:
+            digest = canonical_digest(request)
         with self._lock:
             seq = self._seq
             self._seq += 1
@@ -155,6 +176,7 @@ class PlacementJobQueue:
                 finished_at=time.monotonic(),
             )
             self._jobs[job.id] = job
+            self._retire_locked(job)
             return job
 
     def poll(self, job_id: str) -> Optional[PlacementJob]:
@@ -175,6 +197,7 @@ class PlacementJobQueue:
                 return False
             job.state = JobState.CANCELLED
             job.finished_at = time.monotonic()
+            self._retire_locked(job)
             return True
 
     def update_priority(self, job_id: str, priority: int) -> bool:
@@ -194,6 +217,7 @@ class PlacementJobQueue:
             done = [j for j in self._jobs.values() if j.state.terminal]
             for job in done:
                 del self._jobs[job.id]
+            self._terminal.clear()
             return sorted(done, key=lambda j: j.seq)
 
     # -- worker side --------------------------------------------------------
@@ -242,6 +266,7 @@ class PlacementJobQueue:
             job.state = JobState.DONE
             job.result = result
             job.finished_at = time.monotonic()
+            self._retire_locked(job)
 
     def fail(self, job_id: str, error: str) -> None:
         """Resolve a RUNNING job as FAILED with ``error``."""
@@ -250,6 +275,7 @@ class PlacementJobQueue:
             job.state = JobState.FAILED
             job.error = error
             job.finished_at = time.monotonic()
+            self._retire_locked(job)
 
     def requeue(self, job_id: str) -> None:
         """Return a RUNNING job to PENDING (crash-retry path)."""
@@ -268,15 +294,25 @@ class PlacementJobQueue:
         records go stale and are skipped on pop. Returns the count.
         """
         with self._lock:
-            count = 0
-            for job in self._jobs.values():
-                if job.state is JobState.PENDING and job.digest == digest:
-                    job.state = JobState.DONE
-                    job.result = result
-                    job.cached = True
-                    job.finished_at = time.monotonic()
-                    count += 1
-            return count
+            duplicates = [
+                job for job in self._jobs.values()
+                if job.state is JobState.PENDING and job.digest == digest
+            ]
+            for job in duplicates:
+                job.state = JobState.DONE
+                job.result = result
+                job.cached = True
+                job.finished_at = time.monotonic()
+                self._retire_locked(job)
+            return len(duplicates)
+
+    def _retire_locked(self, job: PlacementJob) -> None:
+        """Track a job that just turned terminal; evict past the cap."""
+        self._terminal[job.id] = None
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            oldest, _ = self._terminal.popitem(last=False)
+            self._jobs.pop(oldest, None)
+            self.evicted += 1
 
     def _require_running(self, job_id: str) -> PlacementJob:
         job = self._jobs.get(job_id)
@@ -302,4 +338,5 @@ class PlacementJobQueue:
             for job in self._jobs.values():
                 counts[job.state.value] += 1
             counts["submitted"] = self._seq
+            counts["evicted"] = self.evicted
             return counts

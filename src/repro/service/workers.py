@@ -29,8 +29,10 @@ service determinism tests.
   queue, lets in-flight jobs resolve, and joins the pool.
 
 Each worker owns a private :class:`~repro.search.cache.StageCache`
-(warm across that worker's jobs); caches are exact memoizations, so
-which worker computes a job never changes its floats.
+(warm across that worker's jobs, trimmed between jobs once its tables
+pass :meth:`~repro.search.cache.StageCache.trim`'s bounds); caches are
+exact memoizations, so which worker computes a job never changes its
+floats.
 """
 
 from __future__ import annotations
@@ -347,9 +349,12 @@ class PlacementService:
         """Submit one request; cache hits complete without a worker."""
         from repro.service.schemas import canonical_digest
 
-        cached = self.result_cache.get(canonical_digest(request))
+        digest = canonical_digest(request)
+        cached = self.result_cache.get(digest)
         if cached is not None:
-            return self.queue.add_finished(request, cached, cached=True)
+            return self.queue.add_finished(
+                request, cached, cached=True, digest=digest
+            )
         return self.queue.submit(request, priority=priority)
 
     def wait(
@@ -405,6 +410,9 @@ class PlacementService:
         self.result_cache.put(job.digest, result)
         self.queue.complete(job.id, result)
         self.queue.complete_pending_duplicates(job.digest, result)
+        # between jobs, and only after a run that ended: a timed-out
+        # run may still be using the cache on its abandoned thread
+        stage_cache.trim()
 
     def _execute_with_deadline(
         self, request: PlacementRequest, stage_cache: StageCache

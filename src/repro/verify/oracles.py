@@ -18,7 +18,9 @@ structured agreement in three tiers:
   (:mod:`repro.service`), proving the JSON wire format is lossless.
   Tolerance is literally 0.0. The numpy batch kernel
   (:mod:`repro.search.vectorized`) joins as a 1e-9 tier — its only
-  deviations from the scalar scorer are a few reassociated sums.
+  deviations from the scalar scorer are a few reassociated sums — and,
+  given a robustness term, its surrogate penalty and utility columns
+  join that tier too.
 - **Tier 1 (tolerance-banded)** — the DES executor adds protocol
   dynamics; its noise-free steady-state estimates must match the
   analytic prediction within per-metric relative tolerances
@@ -53,8 +55,13 @@ from repro.core.insitu import non_overlapped_segment
 from repro.core.objective import objective_function
 from repro.core.stages import MemberStages
 from repro.dtl.base import DataTransportLayer
+from repro.faults.analytic import RobustnessTerm, node_crash_builder
 from repro.faults.models import FailureModel, NoFailureModel
-from repro.faults.recovery import RecoveryPolicy, RetryBackoffPolicy
+from repro.faults.recovery import (
+    CheckpointRestartPolicy,
+    RecoveryPolicy,
+    RetryBackoffPolicy,
+)
 from repro.platform.cluster import Cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement
@@ -313,6 +320,8 @@ def run_differential_oracle(
     fault_factory: Optional[Callable[[int], FailureModel]] = None,
     batched_score_fn: Optional[Callable] = None,
     coschedule_fn: Optional[Callable] = None,
+    robustness: Optional[RobustnessTerm] = None,
+    kernel_factory: Optional[Callable] = None,
 ) -> DivergenceReport:
     """Run one scenario through every evaluation path; report agreement.
 
@@ -376,6 +385,16 @@ def run_differential_oracle(
         degeneration is float-identical. Only runs on the default
         platform context (the co-scheduler's own default). Same
         mutation hook as ``predictor``.
+    robustness:
+        A :class:`~repro.faults.analytic.RobustnessTerm`. When the
+        batch kernel prices it (a node-level crash hazard, as
+        :func:`~repro.faults.analytic.node_crash_builder` builds), the
+        ``vectorized`` tier also compares the kernel's penalty and
+        utility with the robust scalar score.
+    kernel_factory:
+        Builds the batch scorer, called like
+        :class:`~repro.search.vectorized.VectorizedScorer`; defaults
+        to it. Same mutation hook as ``predictor``.
 
     Returns
     -------
@@ -475,12 +494,44 @@ def run_differential_oracle(
     # coverage
     from repro.search.vectorized import VectorizedScorer, VectorizedUnsupported
 
+    kernel = kernel_factory or VectorizedScorer
     try:
-        scorer = VectorizedScorer(
-            spec, placement.num_nodes, cluster=cluster, dtl=dtl
-        )
+        scorer = kernel(spec, placement.num_nodes, cluster=cluster, dtl=dtl)
     except VectorizedUnsupported:
         scorer = None
+    if scorer is not None and robustness is not None:
+        try:
+            robust_scorer = kernel(
+                spec,
+                placement.num_nodes,
+                cluster=cluster,
+                dtl=dtl,
+                robustness=robustness,
+            )
+        except VectorizedUnsupported:
+            robust_scorer = None
+        if robust_scorer is not None:
+            robust_batch = robust_scorer.score_assignments(
+                [StageCache._flatten(placement)]
+            )
+            robust_score = score_placement(
+                spec, placement, context=platform.evolve(robustness=robustness)
+            )
+            for metric, reference, candidate in (
+                ("penalty", robust_score.robust_penalty,
+                 robust_batch.penalties[0]),
+                ("utility", robust_score.utility, robust_batch.utilities[0]),
+            ):
+                checks.append(
+                    MetricCheck(
+                        scope="ensemble",
+                        metric=metric,
+                        paths="robust-score-vs-vectorized",
+                        reference=reference,
+                        candidate=float(candidate),
+                        tolerance=tol["vectorized"],
+                    )
+                )
     if scorer is not None:
         batch = scorer.score_assignments([StageCache._flatten(placement)])
         checks.append(
@@ -760,6 +811,15 @@ def run_differential_oracle(
     return DivergenceReport(scenario=scenario, checks=tuple(checks))
 
 
+#: The robustness term :func:`verify_scenarios` checks the batch
+#: kernel's penalty columns with: node-level crashes at 5% per node and
+#: step under checkpoint-restart, whose delay depends on the step time.
+ORACLE_ROBUSTNESS = RobustnessTerm(
+    policy=CheckpointRestartPolicy(),
+    model_builder=node_crash_builder(0.05),
+)
+
+
 def verify_scenarios(
     names: Optional[Sequence[str]] = None,
     n_steps: int = 6,
@@ -777,7 +837,8 @@ def verify_scenarios(
     tier). With ``include_service`` an in-process placement service is
     booted on an ephemeral port and every scenario is also scored
     through its HTTP API, which must agree with the direct scorer
-    exactly (tier 0).
+    exactly (tier 0). Every scenario's ``vectorized`` tier also prices
+    a node-level crash term (:data:`ORACLE_ROBUSTNESS`).
     """
     from repro.configs.base import build_spec
     from repro.configs.table2 import TABLE2_CONFIGS
@@ -819,6 +880,7 @@ def verify_scenarios(
                     scenario=name,
                     service_url=server.url if server is not None else None,
                     fault_factory=factory,
+                    robustness=ORACLE_ROBUSTNESS,
                 )
             )
         return reports

@@ -529,3 +529,55 @@ class TestRobustnessTerm:
         assert score.utility == pytest.approx(
             score.objective - score.robust_penalty
         )
+
+
+class TestFixedHazard:
+    def test_node_crash_builder_declares_the_built_hazard(self):
+        from repro.runtime.placement import (
+            EnsemblePlacement,
+            MemberPlacement,
+        )
+
+        build = node_crash_builder(0.07, seed=3, crash_point=0.25)
+        for placement in (
+            EnsemblePlacement(1, (MemberPlacement(0, (0,)),)),
+            EnsemblePlacement(3, (MemberPlacement(2, (0, 1)),)),
+        ):
+            assert build(placement).hazard() == build.hazard
+
+    def test_term_hazard_by_model_kind(self):
+        policy = RetryBackoffPolicy()
+        builder = RobustnessTerm(
+            policy=policy, model_builder=node_crash_builder(0.1)
+        )
+        assert builder.fixed_hazard().node_level
+        shared = RobustnessTerm(
+            policy=policy, model=RandomFailureModel(rate=0.1)
+        )
+        assert shared.fixed_hazard() == RandomFailureModel(rate=0.1).hazard()
+        opaque = RobustnessTerm(
+            policy=policy,
+            model_builder=lambda p: NodeFailureModel(p, rate=0.1),
+        )
+        assert opaque.fixed_hazard() is None
+        scheduled = RobustnessTerm(
+            policy=policy, model=ScheduledFailureModel(())
+        )
+        assert scheduled.fixed_hazard() is None
+
+    def test_closed_form_policies(self):
+        from repro.faults.analytic import priced_in_closed_form
+        from repro.faults.recovery import POLICY_NAMES, make_policy
+
+        assert all(priced_in_closed_form(make_policy(n)) for n in POLICY_NAMES)
+
+        class Probed(RecoveryPolicy):
+            name = "probed"
+
+            def on_crash(self, ctx, attempt):  # pragma: no cover
+                raise AssertionError
+
+        assert not priced_in_closed_form(Probed())
+        assert not priced_in_closed_form(
+            AdaptiveRecoveryPolicy(degraded=DropAnalysisPolicy(Probed()))
+        )

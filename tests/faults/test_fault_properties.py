@@ -121,3 +121,102 @@ class TestScheduleProperties:
             assert event.step == step
             assert event.stage == stage
             assert event.kind not in CHUNK_KINDS
+
+
+class TestRobustnessPenaltyIsNonNegative:
+    """``RobustnessTerm.penalty >= 0`` — utility never exceeds F.
+
+    The batch search's branch-and-bound prunes robust searches with
+    the failure-free F bound; that bound is admissible only because
+    ``utility = F - penalty <= F`` for every candidate.
+    """
+
+    @given(
+        members=st.integers(min_value=1, max_value=3),
+        analyses=st.integers(min_value=1, max_value=2),
+        n_steps=st.integers(min_value=1, max_value=12),
+        natoms=st.sampled_from([60_000, 180_000, 300_000]),
+        pick=st.integers(min_value=0, max_value=10_000),
+        node_level=st.booleans(),
+        rate=st.floats(min_value=0.0, max_value=1.0),
+        kinds=st.lists(
+            st.sampled_from(list(FaultKind)), min_size=1, max_size=5,
+            unique=True,
+        ),
+        policy=st.sampled_from(["retry", "restart", "degrade", "adaptive"]),
+        weight=st.floats(min_value=0.0, max_value=10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_penalty_is_non_negative(
+        self, members, analyses, n_steps, natoms, pick, node_level, rate,
+        kinds, policy, weight,
+    ):
+        from repro.configs.generator import enumerate_placements
+        from repro.faults.analytic import RobustnessTerm, node_crash_builder
+        from repro.faults.models import RandomFailureModel
+        from repro.faults.recovery import make_policy
+        from repro.runtime.spec import EnsembleSpec, default_member
+
+        spec = EnsembleSpec(
+            "penalty",
+            tuple(
+                default_member(
+                    f"em{i}", num_analyses=analyses, n_steps=n_steps,
+                    natoms=natoms,
+                )
+                for i in range(members)
+            ),
+        )
+        placements = list(enumerate_placements(spec, members + 1, 32))
+        placement = placements[pick % len(placements)]
+        if node_level:
+            term = RobustnessTerm(
+                policy=make_policy(policy),
+                model_builder=node_crash_builder(rate),
+                weight=weight,
+            )
+        else:
+            term = RobustnessTerm(
+                policy=make_policy(policy),
+                model=RandomFailureModel(rate=rate, kinds=tuple(kinds)),
+                weight=weight,
+            )
+        assert term.penalty(spec, placement) >= 0.0
+
+
+class TestArrayCrashResponse:
+    """Array step times price each entry exactly as a scalar call does."""
+
+    @given(
+        policy=st.sampled_from(["retry", "restart", "degrade", "adaptive"]),
+        step_times=st.lists(
+            st.floats(min_value=0.0, max_value=50.0), min_size=1,
+            max_size=8,
+        ),
+        n_steps=st.integers(min_value=1, max_value=40),
+        is_analysis=st.booleans(),
+        expected_crashes=st.floats(min_value=0.0, max_value=200.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_elementwise_equals_scalar(
+        self, policy, step_times, n_steps, is_analysis, expected_crashes
+    ):
+        import numpy as np
+
+        from repro.faults.analytic import expected_crash_response
+        from repro.faults.recovery import make_policy
+
+        priced = make_policy(policy)
+        batch = expected_crash_response(
+            priced, np.asarray(step_times), n_steps, is_analysis,
+            expected_crashes,
+        )
+        delays = np.broadcast_to(batch.delay, (len(step_times),))
+        drops = np.broadcast_to(batch.drop_fraction, (len(step_times),))
+        for i, step_time in enumerate(step_times):
+            one = expected_crash_response(
+                priced, step_time, n_steps, is_analysis, expected_crashes
+            )
+            assert type(one.delay) is float
+            assert delays[i] == one.delay
+            assert drops[i] == one.drop_fraction

@@ -79,3 +79,52 @@ class TestPlanning:
         assert isinstance(plan, Plan)
         assert plan.core_choice.cores == plan.analysis_cores
         assert plan.score.placement == plan.placement
+
+
+class TestProbePlatform:
+    def _probed(self, monkeypatch, context):
+        import repro.scheduler.planner as planner_mod
+
+        seen = []
+        original = planner_mod.predict_member_stages
+
+        def recording(spec, placement, cluster=None, dtl=None, **kwargs):
+            seen.append((cluster, dtl))
+            return original(spec, placement, cluster=cluster, dtl=dtl,
+                            **kwargs)
+
+        monkeypatch.setattr(planner_mod, "predict_member_stages", recording)
+        spec = EnsembleSpec(
+            "probe-me",
+            (default_member("em1", num_analyses=2, n_steps=5),),
+        )
+        plan = ResourceConstrainedPlanner(context=context).plan(spec, 2)
+        assert seen
+        return plan, seen
+
+    def test_probes_use_the_context_dtl(self, monkeypatch):
+        from repro.dtl.pfs import ParallelFilesystemDTL
+        from repro.scheduler.context import PlanningContext
+
+        dtl = ParallelFilesystemDTL()
+        _, seen = self._probed(monkeypatch, PlanningContext(dtl=dtl))
+        assert all(probe_dtl is dtl for _, probe_dtl in seen)
+
+    def test_probes_use_the_context_platform(self, monkeypatch):
+        from repro.platform.specs import make_cori_like_cluster
+        from repro.scheduler.context import PlanningContext
+
+        cluster = make_cori_like_cluster(1, contention_enabled=False)
+        _, seen = self._probed(monkeypatch, PlanningContext(cluster=cluster))
+        for probe_cluster, _ in seen:
+            # a private allocation of the context's platform, sized to
+            # the probe (the context's own cluster has one node)
+            assert probe_cluster is not cluster
+            assert probe_cluster.node_spec == cluster.node_spec
+            assert probe_cluster.contention is cluster.contention
+            assert probe_cluster.num_nodes == 3
+
+    def test_default_context_plans_are_unchanged(self, monkeypatch):
+        plan, seen = self._probed(monkeypatch, None)
+        assert all(c is None and d is None for c, d in seen)
+        assert plan.analysis_cores == 8

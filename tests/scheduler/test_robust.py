@@ -232,3 +232,59 @@ class TestRankEngines:
             engine="batched",
         )
         assert a[0].objective == b[0].objective
+
+
+class TestSurrogateStageCache:
+    def test_non_default_platform_gets_a_matching_cache(self, monkeypatch):
+        # regression: the surrogate method fell back to a default-
+        # platform StageCache(), which never matches a non-default
+        # context, so every candidate was re-predicted (0 hits, 0 misses)
+        import repro.scheduler.robust as robust
+        from repro.configs.generator import enumerate_placements
+        from repro.platform.specs import make_cori_like_cluster
+        from repro.runtime.spec import EnsembleSpec, default_member
+        from repro.scheduler.context import PlanningContext
+
+        spec = EnsembleSpec(
+            "cached",
+            tuple(default_member(f"em{i}", n_steps=4) for i in range(2)),
+        )
+        cluster = make_cori_like_cluster(3, contention_enabled=False)
+        candidates = {
+            f"c{i}": placement
+            for i, placement in enumerate(
+                enumerate_placements(spec, 3, 32)
+            )
+        }
+        assert len(candidates) == 11
+        caches = []
+        original = robust.surrogate_score_placement
+
+        def recording(*args, **kwargs):
+            caches.append(kwargs["cache"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(robust, "surrogate_score_placement", recording)
+        ranking = rank_placements_robust(
+            spec,
+            candidates,
+            crash_straggler_factory(0.05),
+            RetryBackoffPolicy(),
+            method="surrogate",
+            context=PlanningContext(cluster=cluster),
+        )
+        assert len({id(cache) for cache in caches}) == 1
+        cache = caches[0]
+        assert cache.matches(cluster, None)
+        assert cache.stats()["stage_hits"] > 0
+        uncached = [
+            original(
+                spec, p, crash_straggler_factory(0.05)(0),
+                RetryBackoffPolicy(), cluster=cluster, name=name,
+            )
+            for name, p in candidates.items()
+        ]
+        assert sorted(uncached, reverse=True) == ranking
+        assert [s.objective for s in sorted(uncached, reverse=True)] == [
+            s.objective for s in ranking
+        ]

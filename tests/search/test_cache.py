@@ -21,6 +21,7 @@ from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
+import repro.search.cache as cache_mod
 from repro.search.cache import StageCache
 from repro.search.canonical import component_core_demands
 from repro.util.errors import PlacementError
@@ -233,3 +234,72 @@ class TestDeltaEvaluation:
         # em2's new neighborhood (alone on a node) is the same local
         # signature as before, so even its re-signing hits the cache
         assert cache.stage_misses == misses_before
+
+
+class TestTrim:
+    def _spec(self, natoms: int):
+        from repro.runtime.spec import EnsembleSpec, default_member
+
+        return EnsembleSpec(
+            "trim", (default_member("em1", n_steps=4, natoms=natoms),)
+        )
+
+    def _placement(self):
+        return EnsemblePlacement(2, (MemberPlacement(0, (1,)),))
+
+    def test_within_bounds_nothing_is_dropped(self):
+        cache = StageCache()
+        cache.predict(self._spec(250_000), self._placement())
+        entries = cache.entries()
+        assert not cache.trim()
+        assert cache.entries() == entries
+
+    def test_spec_identity_tables_drop_past_their_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "TRIM_MAX_SPECS", 2)
+        cache = StageCache()
+        for natoms in (250_000, 252_000, 254_000):
+            cache.predict(self._spec(natoms), self._placement())
+        entries = cache.entries()
+        assert cache.trim()
+        assert not cache._layouts and not cache._model_keys
+        assert cache.entries() == entries  # content memo kept
+
+    def test_content_tables_drop_past_their_bound_counters_kept(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(cache_mod, "TRIM_MAX_ENTRIES", 1)
+        cache = StageCache()
+        spec = self._spec(250_000)
+        cache.predict(spec, self._placement())
+        cache.predict(spec, self._placement())
+        stats = cache.stats()
+        assert cache.trim()
+        assert cache.entries() == 0
+        assert cache.stats() == stats
+        # forgetting only costs a recomputation of the same floats
+        again = cache.predict(spec, self._placement())
+        assert again == predict_member_stages(spec, self._placement())
+        assert cache.stats()["stage_misses"] == stats["stage_misses"] + 1
+
+    def test_service_workers_trim_between_jobs(self, monkeypatch):
+        from repro.service.schemas import PlacementRequest
+        from repro.service.workers import PlacementService
+
+        calls = []
+        original = StageCache.trim
+
+        def counting_trim(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(StageCache, "trim", counting_trim)
+        with PlacementService(workers=1) as service:
+            for n_steps in (2, 3):
+                request = PlacementRequest(
+                    kind="search",
+                    spec=self._spec(250_000 + n_steps),
+                    num_nodes=2,
+                )
+                service.wait(service.submit(request).id, timeout=30.0)
+        assert len(calls) == 2
+        assert calls[0] is calls[1] is service._stage_caches[0]

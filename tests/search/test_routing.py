@@ -1,8 +1,8 @@
 """The engine's vectorized/scalar routing is observable, not silent.
 
 A ``vectorized`` :func:`find_best_placement` may legitimately run the
-scalar path — small canonical space, robustness term, unvectorizable
-context. Each of those decisions is now recorded:
+scalar path — small canonical space, a robustness term the kernel does
+not price, unvectorizable context. Each of those decisions is now recorded:
 :func:`last_search_routing` carries the structured reason for the most
 recent search and :func:`search_counters` tallies requests, uses, and
 fallbacks process-wide. These tests pin the exact reason strings the
@@ -12,9 +12,13 @@ service stats and the benchmarks surface.
 import pytest
 
 import repro.search.vectorized as vectorized_mod
-from repro.faults.analytic import RobustnessTerm
-from repro.faults.models import RandomFailureModel
-from repro.faults.recovery import RetryBackoffPolicy
+from repro.faults.analytic import RobustnessTerm, node_crash_builder
+from repro.faults.models import NodeFailureModel, RandomFailureModel
+from repro.faults.recovery import (
+    RecoveryAction,
+    RecoveryPolicy,
+    RetryBackoffPolicy,
+)
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
 from repro.search.engine import (
@@ -76,16 +80,50 @@ class TestFallbackReasons:
         assert counters["vectorized_fallbacks"] == 1
         assert counters["vectorized_used"] == 0
 
-    def test_robustness_term_present(self):
+    def test_component_level_model_records_its_reason(self):
         term = RobustnessTerm(
             policy=RetryBackoffPolicy(), model=RandomFailureModel(rate=0.05)
         )
         find_best_placement(
-            _spec(), 2, 32, context=VECTORIZED.evolve(robustness=term)
+            _spec(3), 4, 32, context=VECTORIZED.evolve(robustness=term)
         )
-        assert (
-            last_search_routing()["fallback_reason"]
-            == "robustness term present"
+        assert last_search_routing()["fallback_reason"] == (
+            "context not vectorizable: robustness model is component-level "
+            "(per-kind surrogate terms have no columns)"
+        )
+        assert search_counters()["vectorized_fallbacks"] == 1
+
+    def test_placement_dependent_builder_records_its_reason(self):
+        term = RobustnessTerm(
+            policy=RetryBackoffPolicy(),
+            model_builder=lambda placement: NodeFailureModel(
+                placement, rate=0.05
+            ),
+        )
+        find_best_placement(
+            _spec(3), 4, 32, context=VECTORIZED.evolve(robustness=term)
+        )
+        assert last_search_routing()["fallback_reason"] == (
+            "context not vectorizable: robustness model is built per "
+            "placement (no fixed hazard)"
+        )
+
+    def test_probed_policy_records_its_reason(self):
+        class AlwaysRetry(RecoveryPolicy):
+            name = "always-retry"
+
+            def on_crash(self, ctx, attempt):
+                return RecoveryAction(mode="retry", delay=0.25)
+
+        term = RobustnessTerm(
+            policy=AlwaysRetry(), model_builder=node_crash_builder(0.05)
+        )
+        find_best_placement(
+            _spec(3), 4, 32, context=VECTORIZED.evolve(robustness=term)
+        )
+        assert last_search_routing()["fallback_reason"] == (
+            "context not vectorizable: recovery policy AlwaysRetry is "
+            "probed, not priced in closed form"
         )
 
     def test_unvectorizable_context(self, monkeypatch):
@@ -119,6 +157,23 @@ class TestVectorizedUsed:
         counters = search_counters()
         assert counters["vectorized_used"] == 1
         assert counters["vectorized_fallbacks"] == 0
+
+    def test_node_level_robust_search_uses_the_kernel(self):
+        term = RobustnessTerm(
+            policy=RetryBackoffPolicy(), model_builder=node_crash_builder(0.05)
+        )
+        robust = VECTORIZED.evolve(robustness=term)
+        scalar, scalar_n = find_best_placement(
+            _spec(3), 4, 32, context=robust.evolve(vectorized=False)
+        )
+        best, n = find_best_placement(_spec(3), 4, 32, context=robust)
+        routing = last_search_routing()
+        assert routing["vectorized_used"]
+        assert routing["fallback_reason"] is None
+        assert search_counters()["vectorized_used"] == 1
+        assert best.placement == scalar.placement
+        assert best.robust_penalty == scalar.robust_penalty
+        assert n == scalar_n
 
     def test_counters_reset(self):
         find_best_placement(_spec(), 2, 32)

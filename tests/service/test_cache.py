@@ -83,3 +83,38 @@ class TestEviction:
         assert cache.stats()["evictions"] == 4
         assert len(cache) == 1
         assert cache.get("k4") == {"v": 4}
+
+
+class TestCompactStorage:
+    def test_entries_are_compact_json(self):
+        cache = ResultCache(max_entries=2)
+        payload = {"score": {"objective": 0.1 + 0.2, "nodes": [0, 1]}}
+        cache.put("k", payload)
+        stored = cache._entries["k"]
+        assert isinstance(stored, str)
+        assert " " not in stored
+
+    def test_each_hit_decodes_a_fresh_equal_payload(self):
+        cache = ResultCache(max_entries=2)
+        payload = {"score": {"objective": 1 / 3, "nodes": [0, 1]}}
+        cache.put("k", payload)
+        first, second = cache.get("k"), cache.get("k")
+        assert first == second == payload
+        first["score"]["nodes"].append(2)
+        assert cache.get("k") == payload
+
+    def test_decoded_hit_equals_execute_request(self):
+        from repro.runtime.spec import EnsembleSpec, default_member
+        from repro.service.schemas import PlacementRequest
+        from repro.service.workers import execute_request
+
+        spec = EnsembleSpec(
+            "c", tuple(default_member(f"em{i}", n_steps=4) for i in range(2))
+        )
+        request = PlacementRequest(
+            kind="search", spec=spec, num_nodes=3, robust_rate=0.05
+        )
+        payload = execute_request(request)
+        cache = ResultCache(max_entries=2)
+        cache.put("k", payload)
+        assert cache.get("k") == execute_request(request)

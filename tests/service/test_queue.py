@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.jobs as jobs_mod
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.service.jobs import JobState, PlacementJobQueue
 from repro.service.schemas import PlacementRequest, canonical_digest
@@ -220,3 +221,40 @@ class TestPopCompletedAndStats:
         assert queue.poll(other.id).state is JobState.PENDING
         # the coalesced jobs' heap entries are stale, not claimable
         assert queue.claim_next(timeout=0).id == other.id
+
+
+class TestTerminalRetention:
+    def _finish(self, queue, num_nodes):
+        job = queue.submit(_request(num_nodes=num_nodes))
+        claimed = queue.claim_next(timeout=0)
+        assert claimed.id == job.id
+        queue.complete(job.id, {"n": num_nodes})
+        return job
+
+    def test_oldest_terminal_job_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "MAX_TERMINAL_JOBS", 2)
+        queue = PlacementJobQueue()
+        first = self._finish(queue, 2)
+        second = self._finish(queue, 3)
+        third = self._finish(queue, 4)
+        assert queue.poll(first.id) is None
+        assert queue.poll(second.id).result == {"n": 3}
+        assert queue.poll(third.id).result == {"n": 4}
+        assert queue.stats()["evicted"] == 1
+
+    def test_pending_and_running_jobs_are_never_evicted(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "MAX_TERMINAL_JOBS", 1)
+        queue = PlacementJobQueue()
+        running = queue.submit(_request(num_nodes=2))
+        assert queue.claim_next(timeout=0).id == running.id
+        pending = queue.submit(_request(num_nodes=3))
+        for n in range(4, 8):
+            queue.add_finished(_request(num_nodes=n), {"n": n})
+        cancelled = queue.submit(_request(num_nodes=9))
+        assert queue.cancel(cancelled.id)
+        assert queue.poll(running.id).state is JobState.RUNNING
+        assert queue.poll(pending.id).state is JobState.PENDING
+        stats = queue.stats()
+        assert stats["running"] == 1 and stats["pending"] == 1
+        assert stats["done"] + stats["cancelled"] == 1
+        assert stats["evicted"] == 4

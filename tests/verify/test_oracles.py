@@ -204,3 +204,62 @@ class TestVerifyScenarios:
             run_differential_oracle(
                 spec, config.placement(), fault_trials=0
             )
+
+
+class TestRobustKernelTier:
+    """The ``vectorized`` tier covers the kernel's robustness columns."""
+
+    @staticmethod
+    def _scenario():
+        # C1.5 co-locates each member's simulation and analysis, so the
+        # per-node group maximum decides the penalty
+        config = TABLE2_CONFIGS["C1.5"]
+        return build_spec(config, n_steps=6), config.placement()
+
+    def test_robust_checks_run_and_pass(self):
+        from repro.verify.oracles import ORACLE_ROBUSTNESS
+
+        spec, placement = self._scenario()
+        report = run_differential_oracle(
+            spec, placement, robustness=ORACLE_ROBUSTNESS
+        )
+        robust = [
+            c for c in report.checks
+            if c.paths == "robust-score-vs-vectorized"
+        ]
+        assert {c.metric for c in robust} == {"penalty", "utility"}
+        assert all(
+            c.tolerance == ORACLE_TOLERANCES["vectorized"] for c in robust
+        )
+        assert report.passed, report.to_text(verbose=True)
+
+    def test_group_sum_instead_of_max_is_caught(self):
+        """A kernel summing co-located stretches must diverge."""
+        import numpy as np
+
+        from repro.faults.analytic import RobustnessTerm, node_crash_builder
+        from repro.faults.recovery import RetryBackoffPolicy
+        from repro.search.vectorized import VectorizedScorer
+
+        class SummingScorer(VectorizedScorer):
+            def _node_group_max(self, share, stretch):
+                total = stretch.copy()
+                for j, k in self._member_pairs:
+                    total[:, j] += np.where(share[:, j, k], stretch[:, k], 0.0)
+                return total
+
+        spec, placement = self._scenario()
+        term = RobustnessTerm(
+            policy=RetryBackoffPolicy(base_delay=30.0, max_delay=30.0),
+            model_builder=node_crash_builder(0.05),
+        )
+        sound = run_differential_oracle(spec, placement, robustness=term)
+        assert sound.passed, sound.to_text(verbose=True)
+        report = run_differential_oracle(
+            spec, placement, robustness=term, kernel_factory=SummingScorer
+        )
+        assert not report.passed
+        assert {c.paths for c in report.failures} == {
+            "robust-score-vs-vectorized"
+        }
+        assert {c.metric for c in report.failures} == {"penalty", "utility"}
